@@ -1,15 +1,13 @@
 """Deterministic multistart search plumbing.
 
 Every randomized search in the package goes through these helpers so that
-seeding, parallelism and tie-breaking behave identically everywhere: per-start
-generators are spawned from one SeedSequence, and the winner is the
-lexicographically smallest (value, start index) pair, which makes results
-independent of worker count and schedule.
+seeding and tie-breaking behave identically everywhere: per-start generators
+are spawned from one SeedSequence, and the winner is the lexicographically
+smallest (value, start index) pair.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -19,6 +17,8 @@ from scipy.optimize import minimize
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The winning start's value and point; n_evals counts every start."""
+
     value: float
     point: np.ndarray
     start_index: int
@@ -35,28 +35,22 @@ def multistart_minimize(
     starts: Sequence[np.ndarray],
     *,
     maxiter: int = 200,
-    workers: int = 1,
     xatol: float = 1e-10,
     fatol: float = 1e-12,
 ) -> SearchResult:
     """Nelder-Mead from each start, deterministic reduction over starts."""
-    pts = [np.asarray(s, dtype=float) for s in starts]
-
-    def one(i: int) -> SearchResult:
-        res = minimize(
+    runs = [
+        minimize(
             fun,
-            pts[i],
+            np.asarray(s, dtype=float),
             method="Nelder-Mead",
             options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol},
         )
-        return SearchResult(float(res.fun), np.asarray(res.x, dtype=float), i, int(res.nfev))
-
-    if workers > 1 and len(pts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(len(pts))))
-    else:
-        results = [one(i) for i in range(len(pts))]
-    return min(results, key=lambda r: (r.value, r.start_index))
+        for s in starts
+    ]
+    i = min(range(len(runs)), key=lambda k: (float(runs[k].fun), k))
+    return SearchResult(float(runs[i].fun), np.asarray(runs[i].x, dtype=float), i,
+                        sum(int(r.nfev) for r in runs))
 
 
 def bisect_largest(pred: Callable[[float], bool], lo: float, hi: float, *, tol: float = 1e-12) -> float:

@@ -94,25 +94,12 @@ def intersection_norm(c: Couple, x) -> float:
 # sum norm
 
 
-def _leg_as_weighted(spec: lat.LatticeSpec) -> tuple[float, np.ndarray | None]:
-    """(p, weights) view of a leg; weights None means l-infinity."""
-    if spec.family == "linf":
-        return math.inf, None
-    if spec.family == "lp":
-        return spec.p, np.ones(spec.dim)
-    if spec.family == "wlp":
-        return spec.p, np.asarray(spec.weights)
-    # submeasure space norm is the normalized lp norm in disguise
-    return spec.p, np.full(spec.dim, 1.0 / spec.dim)
-
-
 def _relaxed_leg(spec: lat.LatticeSpec) -> lat.LatticeSpec:
     """A convex lattice whose norm minorizes the given one (equal if convex)."""
     if spec.p >= 1.0:
         return spec
-    p, w = _leg_as_weighted(spec)
     # (sum w |y|^p)^{1/p} >= sum w^{1/p} |y| for p < 1
-    return lat.weighted_lp(1.0, spec.dim, (np.asarray(w) ** (1.0 / p)).tolist())
+    return lat.weighted_lp(1.0, spec.dim, (spec.w ** (1.0 / spec.p)).tolist())
 
 
 def _sum_with_linf(c: Couple, a: np.ndarray, inf_leg: int) -> tuple[float, np.ndarray]:
@@ -192,12 +179,12 @@ def sum_norm(c: Couple, x, *, seed: int = 0, starts: int = 32, iters: int = 200,
 
     convex = c.x0.p >= 1.0 and c.x1.p >= 1.0
 
-    if (c.x0.family in ("lp", "linf") and c.x1.family in ("lp", "linf")
-            and c.x0.weights is None and c.x1.weights is None
+    if (c.x0.weights is None and c.x1.weights is None
             and c.x0.p != c.x1.p and max(c.x0.p, c.x1.p) >= 1.0):
         # unweighted exponents nest: the weaker norm is dominated pointwise,
         # so sending all mass to the weak leg is optimal (triangle inequality
-        # there closes the lower bound); exact even if the strong leg is p < 1
+        # there closes the lower bound); exact even if the strong leg is p < 1.
+        # Weights (1/n on sub) can reverse the domination, so they stay out
         weak_is_x1 = c.x1.p > c.x0.p
         weak = c.x1 if weak_is_x1 else c.x0
         val = lat.norm(weak, a)
@@ -214,7 +201,7 @@ def sum_norm(c: Couple, x, *, seed: int = 0, starts: int = 32, iters: int = 200,
         lower = val if convex else min(_relaxation_lower(c, a), val)
         return NormEstimate(lower, val, {"x0": (a - x1).tolist()}, "linf-cap")
 
-    if convex and (c.x0.family, c.x0.p, c.x0.weights) == (c.x1.family, c.x1.p, c.x1.weights):
+    if convex and c.x0.p == c.x1.p and np.array_equal(c.x0.w, c.x1.w):
         # identical convex legs: the triangle inequality pins the value
         val = lat.norm(c.x0, a)
         return NormEstimate(val, val, {"x0": a.tolist()}, "identical-legs")
@@ -245,11 +232,8 @@ def sum_norm(c: Couple, x, *, seed: int = 0, starts: int = 32, iters: int = 200,
 
 def _relaxation_lower(c: Couple, a: np.ndarray) -> float:
     relaxed = Couple(_relaxed_leg(c.x0), _relaxed_leg(c.x1))
-    if relaxed.x0.family == "wlp" and relaxed.x1.family == "wlp" \
-            and relaxed.x0.p == 1.0 and relaxed.x1.p == 1.0:
-        w0 = np.asarray(relaxed.x0.weights)
-        w1 = np.asarray(relaxed.x1.weights)
-        return float(np.sum(a * np.minimum(w0, w1)))  # separable exact
+    if relaxed.x0.p == 1.0 and relaxed.x1.p == 1.0:
+        return float(np.sum(a * np.minimum(relaxed.x0.w, relaxed.x1.w)))  # separable exact
     est = sum_norm(relaxed, a)  # convex by construction, terminates
     return est.upper
 
@@ -266,8 +250,8 @@ def _power_oracle(c: Couple, f: InterpolationFunction, a: np.ndarray) -> NormEst
     explicit witness in the other make it exact for every exponent range.
     """
     theta, coef = f.params
-    p0, w0 = _leg_as_weighted(c.x0)
-    p1, w1 = _leg_as_weighted(c.x1)
+    p0, w0 = c.x0.p, c.x0.w
+    p1, w1 = c.x1.p, c.x1.w
     e0 = (1.0 - theta) / p0 if math.isfinite(p0) else 0.0
     e1 = theta / p1 if math.isfinite(p1) else 0.0
     inv_r = e0 + e1
@@ -278,12 +262,8 @@ def _power_oracle(c: Couple, f: InterpolationFunction, a: np.ndarray) -> NormEst
         return NormEstimate(lam, lam, {"u": ones.tolist(), "v": ones.tolist(), "lam": lam},
                             "oracle:linf-pair")
     r = 1.0 / inv_r
-    w = np.ones(c.dim)
-    if w0 is not None and math.isfinite(p0):
-        w = w * w0 ** (r * e0)
-    if w1 is not None and math.isfinite(p1):
-        w = w * w1 ** (r * e1)
-    m = w * a**r
+    # an l-infinity leg has exponent e = 0, so its weights drop out
+    m = w0 ** (r * e0) * w1 ** (r * e1) * a**r
     total = float(np.sum(m))
     lam = total ** (1.0 / r) / coef
     u = np.ones(c.dim)
@@ -340,9 +320,10 @@ def _min_v_for(c: Couple, f: InterpolationFunction, u: np.ndarray, a: np.ndarray
                lam: float) -> np.ndarray | None:
     """Cheapest v with |x| <= lam phi(u, v) for the given u, or None.
 
-    The power, min, harmonic, cappedpower and mirror(cappedpower) families
-    invert in closed form through _closed_form_inverse; every other family
-    falls back to a scalar brentq root of eval_phi per coordinate.
+    The power, min, harmonic, affinepower, cappedpower and
+    mirror(cappedpower) families invert in closed form through
+    _closed_form_inverse; every other family falls back to a scalar brentq
+    root of eval_phi per coordinate.
     """
     v = np.zeros(c.dim)
     sup = np.flatnonzero(a)
@@ -423,6 +404,8 @@ def _closed_form_inverse(f: InterpolationFunction, u: np.ndarray,
     inf where phi(u, .) saturates below c.  Families:
 
     - power, min and harmonic;
+    - affinepower(a, b, theta), phi(u, t) = a u + b u^(1-theta) t^theta:
+      t = u (max(c/u - a, 0)/b)^(1/theta), so t = 0 where c <= a u;
     - cappedpower(theta), phi(u, t) = min(u, u^(1-theta) t^theta):
       t = u (c/u)^(1/theta) for c <= u, inf above;
     - mirror(cappedpower(theta)), phi(u, t) = min(t, t^(1-theta) u^theta):
@@ -452,6 +435,10 @@ def _closed_form_inverse(f: InterpolationFunction, u: np.ndarray,
         # u t / (u + t) >= c  <=>  t (u - c) >= c u
         with np.errstate(divide="ignore", over="ignore"):
             return np.where(c < u, c * u / (u - c), math.inf)
+    if fam == "affinepower":
+        a, b, th = params
+        with np.errstate(over="ignore"):
+            return u * (np.maximum(c / u - a, 0.0) / b) ** (1.0 / th)
     if fam == "cappedpower":
         (th,) = params
         return np.where(c <= u, u * np.minimum(c / u, 1.0) ** (1.0 / th), math.inf)
@@ -462,10 +449,11 @@ def _invert_second_arg(f: InterpolationFunction, u: np.ndarray, c: np.ndarray) -
     """Smallest t with phi(u, t) >= c, coordinatewise; inf where unattainable.
 
     Closed forms (exact up to rounding) for the power, min, harmonic,
-    cappedpower and mirror(cappedpower) families, see _closed_form_inverse;
-    monotone bisection with range doubling otherwise.  The bisection answer
-    is the certified-below end of the bracket, so callers may treat the
-    result as an under-approximation of the true inverse.
+    affinepower, cappedpower and mirror(cappedpower) families, see
+    _closed_form_inverse; monotone bisection with range doubling otherwise.
+    The bisection answer is the certified-below end of the bracket, so
+    callers may treat the result as an under-approximation of the true
+    inverse.
     """
     u, c = np.broadcast_arrays(np.asarray(u, dtype=float),
                                np.asarray(c, dtype=float))
@@ -498,28 +486,6 @@ def _invert_second_arg(f: InterpolationFunction, u: np.ndarray, c: np.ndarray) -
     return out
 
 
-def _support_norm_rows(spec: lat.LatticeSpec, rows: np.ndarray,
-                       support: np.ndarray) -> np.ndarray:
-    """spec's quasi-norm for each row, the rows living on the support only."""
-    if spec.family == "linf":
-        return np.max(rows, axis=1)
-    if spec.family == "lp":
-        return np.sum(rows ** spec.p, axis=1) ** (1.0 / spec.p)
-    if spec.family == "wlp":
-        w = np.asarray(spec.weights, dtype=float)[support]
-        return np.sum(w * rows ** spec.p, axis=1) ** (1.0 / spec.p)
-    out = np.empty(rows.shape[0])
-    full = np.zeros(spec.dim)
-    for i in range(rows.shape[0]):
-        full[:] = 0.0
-        if np.all(np.isfinite(rows[i])):
-            full[support] = rows[i]
-            out[i] = lat.norm(spec, full)
-        else:
-            out[i] = math.inf
-    return out
-
-
 def _batched_inner_bracket(c: Couple, f: InterpolationFunction, a_sup: np.ndarray,
                            support: np.ndarray, us: np.ndarray,
                            lam_cap: float) -> tuple[np.ndarray, np.ndarray]:
@@ -536,12 +502,12 @@ def _batched_inner_bracket(c: Couple, f: InterpolationFunction, a_sup: np.ndarra
     hi = np.full(n, lam_cap)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v = _invert_second_arg(f, us, a_sup[None, :] / lam_cap)
-        m = _support_norm_rows(c.x1, v, support)
+        m = lat.norm_rows(c.x1, v, support)
         stuck = ~(m <= 1.0 + 1e-12)  # catches nan as infeasible
         for _ in range(24):
             mid = 0.5 * (lo + hi)
             v = _invert_second_arg(f, us, a_sup[None, :] / np.where(mid > 0, mid, 1.0)[:, None])
-            m = _support_norm_rows(c.x1, v, support)
+            m = lat.norm_rows(c.x1, v, support)
             infeasible = ~(m <= 1.0 + 1e-12)
             lo = np.where(infeasible, mid, lo)
             hi = np.where(infeasible, hi, mid)
@@ -550,7 +516,7 @@ def _batched_inner_bracket(c: Couple, f: InterpolationFunction, a_sup: np.ndarra
 
 def _dual_bound_ready(c: Couple, f: InterpolationFunction) -> bool:
     return (f.family == "power" and 0.0 < f.params[0] < 1.0
-            and c.x0.family in ("lp", "wlp") and c.x1.family in ("lp", "wlp"))
+            and math.isfinite(c.x0.p) and math.isfinite(c.x1.p))
 
 
 def _batched_dual_lower(c: Couple, f: InterpolationFunction, a_sup: np.ndarray,
@@ -558,8 +524,8 @@ def _batched_dual_lower(c: Couple, f: InterpolationFunction, a_sup: np.ndarray,
                         lam_cap: float) -> np.ndarray:
     """Certified box bound via the Lagrangian dual of the inner knapsack.
 
-    For the power function on lp-type legs the minimal second witness is
-    eliminated in closed form and feasibility of a level lam reads
+    For the power function on legs of finite exponent the minimal second
+    witness is eliminated in closed form and feasibility of a level lam reads
     min { sum_j c_j u_j^(-alpha) : u in box, sum_j w_j u_j^p <= 1 } <= 1.
     Weak duality bounds that minimum from below for every multiplier mu >= 0
     by separable one-dimensional minimizations with closed-form stationary
@@ -570,10 +536,8 @@ def _batched_dual_lower(c: Couple, f: InterpolationFunction, a_sup: np.ndarray,
     th, coef = f.params
     p = c.x0.p
     q = c.x1.p
-    w0 = (np.asarray(c.x0.weights, dtype=float)[support]
-          if c.x0.family == "wlp" else np.ones(los.shape[1]))
-    w1 = (np.asarray(c.x1.weights, dtype=float)[support]
-          if c.x1.family == "wlp" else np.ones(los.shape[1]))
+    w0 = c.x0.w[support]
+    w1 = c.x1.w[support]
     alpha = q * (1.0 - th) / th
     n = los.shape[0]
 
@@ -612,18 +576,14 @@ def _reduce_box_tops(spec: lat.LatticeSpec, los: np.ndarray, his: np.ndarray,
                      support: np.ndarray) -> np.ndarray:
     """Clip each box axis to the largest value feasible alongside the box's
     lower corner on the remaining axes; any feasible point in the box obeys
-    the clip, so bounds taken at the reduced corner stay valid."""
-    if spec.family == "linf":
-        return np.minimum(his, 1.0)
-    if spec.family in ("lp", "wlp"):
-        w = (np.asarray(spec.weights, dtype=float)[support]
-             if spec.family == "wlp" else np.ones(los.shape[1]))
-        terms = w[None, :] * los ** spec.p
-        slack = 1.0 - (np.sum(terms, axis=1, keepdims=True) - terms)
-        with np.errstate(invalid="ignore"):
-            cap = (np.maximum(slack, 0.0) / w[None, :]) ** (1.0 / spec.p)
-        return np.minimum(his, np.maximum(cap, los))
-    return his
+    the clip, so bounds taken at the reduced corner stay valid.  spec has a
+    finite exponent: an l-infinity first leg never reaches the box search."""
+    w = spec.w[support]
+    terms = w[None, :] * los ** spec.p
+    slack = 1.0 - (np.sum(terms, axis=1, keepdims=True) - terms)
+    with np.errstate(invalid="ignore"):
+        cap = (np.maximum(slack, 0.0) / w[None, :]) ** (1.0 / spec.p)
+    return np.minimum(his, np.maximum(cap, los))
 
 
 def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray, upper: float,
@@ -712,7 +672,7 @@ def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray, upper: float
         lo_b[rows, axis] = mids
         kid_lo = np.concatenate([lo_a, lo_b])
         kid_hi = np.concatenate([hi_a, hi_b])
-        feas = _support_norm_rows(c.x0, kid_lo, support) <= 1.0 + 1e-9
+        feas = lat.norm_rows(c.x0, kid_lo, support) <= 1.0 + 1e-9
         kid_lo, kid_hi = kid_lo[feas], kid_hi[feas]
         kid_hi = _reduce_box_tops(c.x0, kid_lo, kid_hi, support)
         if kid_lo.shape[0]:
@@ -725,7 +685,7 @@ def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray, upper: float
             # a box whose top corner is itself feasible is resolved exactly
             # (the inner value is nonincreasing, so the corner attains the
             # box minimum); only surface-straddling boxes need refinement
-            hi_norms = _support_norm_rows(c.x0, kid_hi, support)
+            hi_norms = lat.norm_rows(c.x0, kid_hi, support)
             resolved = hi_norms <= 1.0 + 1e-9
             corner = (hi_norms <= 1.0) & np.isfinite(kid_feas_vals)
             if np.any(corner):

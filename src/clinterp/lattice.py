@@ -2,16 +2,22 @@
 
 Four quasi-norm families: lp (any 0 < p <= inf), weighted lp, l-infinity, and
 the L_p(phi_n) pathology space whose vectors are simple functions over the
-basic-set family (their norms delegate to module pathology through nested
-level sets). Functional calculus of interpolation functions is coordinatewise
-here, and the Riesz decomposition is the deterministic proportional split,
-which achieves factor 1 where the operation's contract promises factor 2.
+basic-set family. Every family is one exponent p and one weight vector w,
+built once per spec, with the quasi-norm (sum_j w_j |a_j|^p)^(1/p), or
+max_j |a_j| for p = inf: lp has unit weights and the pathology space has
+weights 1/n. Coordinate j of the pathology space carries the basic set
+B_{e_j} and phi_n of a union of k of them is k/n, so its layer-cake integral
+telescopes to that closed form; the layer-cake in module pathology is the
+reference the tests hold it to. Functional calculus of interpolation
+functions is coordinatewise here, and the Riesz decomposition is the
+deterministic proportional split, which achieves factor 1 where the
+operation's contract promises factor 2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,13 +28,23 @@ from .quasiconcave import InterpolationFunction, eval_phi
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """One lattice: family tag, dimension, exponent, optional weights/handle."""
+    """One lattice: family tag, dimension, exponent, optional weights/handle.
+
+    weights is None exactly for the unit-weight families lp and linf; w is
+    the weight vector the quasi-norm uses, for every family.
+    """
 
     family: str  # "lp" | "wlp" | "linf" | "sub"
     dim: int
     p: float
     weights: tuple | None = None
     pathology_space: pathology.PathologySpace | None = None
+    w: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        w = np.ones(self.dim) if self.weights is None else np.array(self.weights, dtype=float)
+        w.flags.writeable = False
+        object.__setattr__(self, "w", w)
 
     @property
     def modulus_constant(self) -> float:
@@ -70,7 +86,7 @@ def linf(dim: int) -> LatticeSpec:
 
 def submeasure_lp(p: float, n: int) -> LatticeSpec:
     sp = pathology.PathologySpace(n, float(p))
-    return LatticeSpec("sub", n, float(p), pathology_space=sp)
+    return LatticeSpec("sub", n, float(p), weights=(1.0 / n,) * n, pathology_space=sp)
 
 
 def _check_dim(dim: int) -> int:
@@ -117,32 +133,25 @@ def _entries(x) -> np.ndarray:
 
 
 def norm(space: LatticeSpec, x) -> float:
-    """The family's quasi-norm; submeasure spaces delegate to the layer-cake."""
+    """The quasi-norm (sum_j w_j |x_j|^p)^(1/p), or max_j |x_j| for p = inf."""
     arr = _entries(x)
     if isinstance(x, LatticeVector) and x.space.dim != space.dim:
         raise DomainError("vector belongs to a lattice of different dimension")
     if arr.shape != (space.dim,):
         raise DomainError(f"expected {space.dim} entries, got {arr.shape}")
     a = np.abs(arr)
-    if space.family == "linf":
-        return float(np.max(a))
-    if space.family == "lp":
-        return float(np.sum(a**space.p) ** (1.0 / space.p))
-    if space.family == "wlp":
-        return float(np.sum(np.asarray(space.weights) * a**space.p) ** (1.0 / space.p))
-    # submeasure space: coordinate j carries the basic set B_{e_j}, so the
-    # level sets of the simple function are unions of these, nested by value
-    vals = sorted(set(float(v) for v in a if v > 0.0))
-    layers = []
-    prev_val = 0.0
-    for v in vals:  # ascending: largest level set first
-        members = np.flatnonzero(a >= v)
-        basis = [[1 if j == i else 0 for j in range(space.dim)] for i in members]
-        layers.append((v - prev_val, pathology.b_union(space.dim, basis)))
-        prev_val = v
-    if not layers:
-        return 0.0
-    return pathology.lp_norm_simple(space.pathology_space, layers)
+    if math.isinf(space.p):
+        return float(a.max())
+    return float(np.dot(space.w, a**space.p) ** (1.0 / space.p))
+
+
+def norm_rows(space: LatticeSpec, rows: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """The quasi-norm of each row of a 2-D array whose columns are the
+    coordinates listed in support, every other coordinate being zero."""
+    a = np.abs(rows)
+    if math.isinf(space.p):
+        return a.max(axis=1)
+    return (a**space.p @ space.w[support]) ** (1.0 / space.p)
 
 
 def abs_vector(x: LatticeVector) -> LatticeVector:

@@ -123,8 +123,7 @@ def _op_norm_oracle(t: OperatorSpec, x: lat.LatticeSpec, y: lat.LatticeSpec) -> 
     if x.family in ("lp", "wlp") and y.family in ("lp", "wlp") and x.p == 2.0 and y.p == 2.0:
         # euclidean legs reduce to the largest singular value; weights fold
         # into diagonal rescalings on both sides
-        wx = np.ones(n) if x.weights is None else np.asarray(x.weights, dtype=float)
-        wy = np.ones(m.shape[0]) if y.weights is None else np.asarray(y.weights, dtype=float)
+        wx, wy = x.w, y.w
         scaled = np.sqrt(wy)[:, None] * m / np.sqrt(wx)[None, :]
         svals, vh = np.linalg.svd(scaled, compute_uv=True)[1:]
         val = float(svals[0])
@@ -210,7 +209,9 @@ def op_norm(
     bound with an infinite upper side.
     """
     _shape_check(t, x, y)
-    key = ("op", x.describe(), y.describe())
+    # the search route's answer depends on its seed and effort; the oracle
+    # routes ignore them
+    key = ("op", x.describe(), y.describe(), seed, starts, iters)
     if method == "auto" and key in t.cache:
         return t.cache[key]
     est = None

@@ -253,7 +253,7 @@ def mirror(f: InterpolationFunction) -> InterpolationFunction:
     if f.family == "plmax":
         a, b = f.params
         return pl_max(b, a)
-    if f.family in ("min", "zero"):
+    if f.family in ("min", "zero", "harmonic"):
         return f
     return InterpolationFunction(
         "mirror", (f,),

@@ -238,7 +238,10 @@ class TestClNormOptimizer:
 
 
 def _brentq_inverse(f, u, c):
-    """Root of phi(u, .) = c on a bracket where phi(u, .) is strictly increasing."""
+    """Smallest t with phi(u, t) >= c, where phi(u, .) is strictly increasing
+    from phi(u, 0): 0 if phi(u, 0) already reaches c, else the root."""
+    if qc.eval_phi(f, u, 0.0) >= c:
+        return 0.0
     hi = max(u, c)
     while qc.eval_phi(f, u, hi) < c:
         hi *= 2.0
@@ -248,17 +251,20 @@ def _brentq_inverse(f, u, c):
 
 class TestClosedFormInverse:
     @pytest.mark.parametrize("theta", [0.25, 0.5, 1.0])
-    @pytest.mark.parametrize("mirrored", [False, True], ids=["capped", "mirror"])
-    def test_matches_brentq_root(self, theta, mirrored):
-        f = qc.capped_power(theta)
-        if mirrored:
-            f = qc.mirror(f)
+    @pytest.mark.parametrize("family", ["capped", "mirror", "affine"])
+    def test_matches_brentq_root(self, theta, family):
+        f = {"capped": qc.capped_power(theta),
+             "mirror": qc.mirror(qc.capped_power(theta)),
+             "affine": qc.affine_power(1.0, 2.0, theta)}[family]
         rng = np.random.default_rng(7)
         u = rng.uniform(0.1, 3.0, 24)
         # below the cap phi(u, .) is strictly increasing; the mirror with
-        # theta < 1 is unbounded, so it is also probed above c = u
-        top = 4.0 if mirrored and theta < 1.0 else 0.999
-        c = u * rng.uniform(0.01, top, 24)
+        # theta < 1 is unbounded, so it is also probed above c = u; the
+        # affine power starts at phi(u, 0) = u and is probed on both sides
+        low, top = {"capped": (0.01, 0.999),
+                    "mirror": (0.01, 4.0 if theta < 1.0 else 0.999),
+                    "affine": (0.5, 6.0)}[family]
+        c = u * rng.uniform(low, top, 24)
         closed = cp._closed_form_inverse(f, u, c)
         assert closed is not None
         roots = np.array([_brentq_inverse(f, ui, ci) for ui, ci in zip(u, c)])

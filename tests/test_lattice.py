@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clinterp import pathology
 from clinterp.errors import (
     DescriptorError,
     DomainError,
@@ -17,6 +20,7 @@ from clinterp.lattice import (
     lp,
     meet,
     norm,
+    norm_rows,
     parse_lattice,
     riesz_decompose,
     submeasure_lp,
@@ -36,6 +40,19 @@ SPACES = [
 ]
 
 
+def _layer_cake_norm(p: float, n: int, x) -> float:
+    """L_p(phi_n) quasi-norm of the simple function with values |x_j| on the
+    basic sets B_{e_j}: its level sets are nested unions of those sets."""
+    a = np.abs(np.asarray(x, dtype=float))
+    layers = []
+    prev = 0.0
+    for v in sorted(set(float(t) for t in a if t > 0.0)):
+        basis = [[int(i == j) for j in range(n)] for i in np.flatnonzero(a >= v)]
+        layers.append((v - prev, pathology.b_union(n, basis)))
+        prev = v
+    return pathology.lp_norm_simple(pathology.PathologySpace(n, p), layers)
+
+
 class TestNorms:
     def test_l1(self):
         assert norm(lp(1.0, 2), [3.0, -4.0]) == pytest.approx(7.0)
@@ -50,14 +67,18 @@ class TestNorms:
         assert norm(weighted_lp(1.0, 2, [2.0, 5.0]), [1.0, -1.0]) == pytest.approx(7.0)
 
     def test_submeasure_closed_form(self):
-        # the layer-cake over B_{e_j} unions collapses to a normalized lp norm
-        space = submeasure_lp(0.5, 4)
+        # the closed form against the exact layer-cake integral of pathology
         rng = np.random.default_rng(5)
-        for _ in range(25):
-            x = rng.uniform(-2.0, 2.0, size=4)
-            x[rng.integers(0, 4)] = 0.0 if rng.random() < 0.3 else x[0]
-            expect = (np.sum(np.abs(x) ** 0.5) / 4.0) ** 2.0
-            assert norm(space, x) == pytest.approx(expect, rel=1e-12)
+        for p in (0.25, 0.5, 0.75):
+            for n in (2, 3, 4, 5):
+                space = submeasure_lp(p, n)
+                for _ in range(10):
+                    x = rng.uniform(-2.0, 2.0, size=n)
+                    x[rng.integers(0, n)] = 0.0
+                    x[rng.integers(0, n)] = -x[rng.integers(0, n)]  # a tie in |x|
+                    expect = _layer_cake_norm(p, n, x)
+                    assert norm(space, x) == pytest.approx(expect, rel=1e-12)
+                assert norm(space, np.zeros(n)) == 0.0
 
     def test_modulus_constants(self):
         assert lp(1.0, 3).modulus_constant == 1.0
@@ -93,6 +114,26 @@ class TestNorms:
                 assert norm(space, lam * x) == pytest.approx(
                     lam * norm(space, x), rel=1e-12
                 )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_norm_rows_matches_norm(self, data):
+        space = data.draw(st.sampled_from(SPACES))
+        support = np.flatnonzero(data.draw(
+            st.lists(st.booleans(), min_size=space.dim, max_size=space.dim)
+            .filter(any)))
+        # magnitudes from 1e-6 keep a^p and (lam a)^p clear of underflow
+        entries = st.floats(-1e3, 1e3).filter(lambda v: v == 0.0 or abs(v) >= 1e-6)
+        rows = np.array(data.draw(st.lists(
+            st.lists(entries, min_size=len(support), max_size=len(support)),
+            min_size=1, max_size=6)))
+        lam = data.draw(st.floats(1e-3, 1e3))
+        for row, value in zip(rows, norm_rows(space, rows, support)):
+            full = np.zeros(space.dim)
+            full[support] = row
+            assert value == pytest.approx(norm(space, full), rel=1e-12, abs=1e-300)
+            assert norm(space, lam * full) == pytest.approx(
+                lam * value, rel=1e-12, abs=1e-300)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):

@@ -118,6 +118,21 @@ class TestOpNorm:
         b = ops.op_norm(t, lat.lp(1.0, 2), lat.lp(1.0, 2))
         assert a is b
 
+    def test_cache_key_holds_search_settings(self):
+        # a cached search must not answer for another seed, start count or
+        # iteration budget
+        m = np.array([[1.0, -2.0, 0.5], [3.0, 4.0, -1.0], [0.5, 1.0, 2.0]])
+        x, y = lat.parse_lattice("lp:1.5:3"), lat.parse_lattice("lp:0.75:3")
+        t = ops.OperatorSpec(m)
+        first = ops.op_norm(t, x, y, seed=1, starts=2, iters=20)
+        second = ops.op_norm(t, x, y, seed=2, starts=8, iters=200)
+        fresh = ops.op_norm(ops.OperatorSpec(m), x, y, seed=2, starts=8, iters=200)
+        assert first.method == second.method == "search"
+        assert second is not first
+        assert second.lower == fresh.lower
+        assert second.lower > first.lower
+        assert ops.op_norm(t, x, y, seed=2, starts=8, iters=200) is second
+
     def test_one_dimensional_domain_exact_any_family(self):
         t = ops.OperatorSpec(np.array([[2.0], [1.0]]))
         est = ops.op_norm(t, lat.lp(0.5, 1), lat.lp(0.5, 2))

@@ -139,6 +139,13 @@ class TestEvaluation:
         assert g.phi1_at_zero == f.slope_at_infinity
         assert mirror(power(0.3)).params[0] == pytest.approx(0.7)
 
+    def test_mirror_of_harmonic_is_harmonic(self):
+        # harmonic is symmetric, so mirror keeps the family and its closed forms
+        g = mirror(harmonic())
+        assert g.family == "harmonic"
+        s, t = np.meshgrid(np.geomspace(0.01, 100.0, 15), np.geomspace(0.01, 100.0, 15))
+        np.testing.assert_array_equal(eval_phi(g, s, t), eval_phi(harmonic(), s, t))
+
     def test_phi0_is_mirror_phi1(self):
         f = power(0.25)
         ts = np.geomspace(0.01, 100.0, 30)
