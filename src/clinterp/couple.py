@@ -6,7 +6,9 @@ and intersection quasi-norms, the interpolation quasi-norm
     ||x||_phi = inf{lam > 0 : |x| <= lam phi(u, v), ||u||_X0 <= 1, ||v||_X1 <= 1}
 
 with certified brackets (exact closed forms where the couple and function
-admit them, multistart search plus a rounding-grid certificate otherwise),
+admit them; otherwise a batched search over the first witness u, whose inner
+problem in lam is solved exactly for many rows at once, plus a
+branch-and-bound certificate over u),
 the equivalence of the phi-space with the sum of its piecewise-linear and
 vanishing parts, the truncation traces that approximate intersection vectors
 inside the phi-space, and the constructive factorization x = phi(f, g).
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
 from . import lattice as lat
@@ -35,8 +37,8 @@ from .quasiconcave import (
     BKDecomposition,
     InterpolationFunction,
     eval_phi,
-    eval_phi_unchecked,
     has_vanishing_limits,
+    invert_phi,
     is_doubly_bounded,
     mirror,
     phi1,
@@ -316,186 +318,34 @@ def _plmax_oracle(c: Couple, f: InterpolationFunction, a: np.ndarray) -> NormEst
                         "oracle:plmax")
 
 
-def _min_v_for(c: Couple, f: InterpolationFunction, u: np.ndarray, a: np.ndarray,
-               lam: float) -> np.ndarray | None:
-    """Cheapest v with |x| <= lam phi(u, v) for the given u, or None.
-
-    The power, min, harmonic, affinepower, cappedpower and
-    mirror(cappedpower) families invert in closed form through
-    _closed_form_inverse; every other family falls back to a scalar brentq
-    root of eval_phi per coordinate.
-    """
-    v = np.zeros(c.dim)
-    sup = np.flatnonzero(a)
-    target = a[sup] / lam
-    us = u[sup]
-    off = us <= 0.0
-    if np.any(off):
-        if not f.slope_at_infinity > 0.0:
-            return None
-        v[sup[off]] = target[off] / f.slope_at_infinity
-    # v_j = 0 suffices through the boundary extension where u_j phi1(0+) covers
-    need = ~off & (us * f.phi1_at_zero < target)
-    sup, target, us = sup[need], target[need], us[need]
-    closed = _closed_form_inverse(f, us, target)
-    if closed is not None:
-        if not np.all(np.isfinite(closed)):
-            return None  # phi(u_j, .) saturates below the requirement
-        v[sup] = closed
-        return v
-    for j, tj, uj in zip(sup, target, us):
-        tj, uj = float(tj), float(uj)
-        if math.isfinite(f.phi1_sup) and uj * f.phi1_sup <= tj:
-            return None  # phi(u_j, .) saturates below the requirement
-        hi = max(uj, tj, 1.0)
-        for _ in range(400):
-            if float(eval_phi(f, uj, hi)) >= tj:
-                break
-            hi *= 4.0
-            if hi > 1e290:
-                return None
-        else:
-            return None
-        v[j] = float(brentq(lambda t: float(eval_phi(f, uj, t)) - tj,
-                            0.0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=600))
-    return v
-
-
-def _lambda_for_u(c: Couple, f: InterpolationFunction, u: np.ndarray, a: np.ndarray,
-                  lam_hint: float, rel_tol: float = 1e-9) -> tuple[float, np.ndarray] | None:
-    """Smallest feasible lam for a fixed u (||v(lam)||_X1 <= 1 is monotone)."""
-
-    def feasible(lam: float) -> np.ndarray | None:
-        v = _min_v_for(c, f, u, a, lam)
-        if v is None or lat.norm(c.x1, v) > 1.0:
-            return None
-        return v
-
-    hi = max(lam_hint, 1e-12)
-    v_hi = feasible(hi)
-    for _ in range(200):
-        if v_hi is not None:
-            break
-        hi *= 2.0
-        v_hi = feasible(hi)
-    if v_hi is None:
-        return None
-    lo = hi / 2.0
-    while lo > 1e-300 and feasible(lo) is not None:
-        hi, v_hi = lo, feasible(lo)
-        lo /= 2.0
-    for _ in range(200):
-        if hi - lo <= rel_tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        v_mid = feasible(mid)
-        if v_mid is None:
-            lo = mid
-        else:
-            hi, v_hi = mid, v_mid
-    return hi, v_hi
-
-
-def _closed_form_inverse(f: InterpolationFunction, u: np.ndarray,
-                         c: np.ndarray) -> np.ndarray | None:
-    """Smallest t with phi(u, t) >= c in closed form; None for other families.
-
-    u and c are positive and finite.  The answer is exact up to rounding, and
-    inf where phi(u, .) saturates below c.  Families:
-
-    - power, min and harmonic;
-    - affinepower(a, b, theta), phi(u, t) = a u + b u^(1-theta) t^theta:
-      t = u (max(c/u - a, 0)/b)^(1/theta), so t = 0 where c <= a u;
-    - cappedpower(theta), phi(u, t) = min(u, u^(1-theta) t^theta):
-      t = u (c/u)^(1/theta) for c <= u, inf above;
-    - mirror(cappedpower(theta)), phi(u, t) = min(t, t^(1-theta) u^theta):
-      t = max(c, (c u^-theta)^(1/(1-theta))), computed as
-      c max(1, (c/u)^(theta/(1-theta))); theta = 1 is the plain min.
-    """
-    fam, params = f.family, f.params
-    if fam == "mirror" and params[0].family == "cappedpower":
-        (th,) = params[0].params
-        if th == 1.0:
-            fam = "min"
-        else:
-            with np.errstate(over="ignore"):
-                return c * np.maximum(1.0, (c / u) ** (th / (1.0 - th)))
-    if fam == "power":
-        th, coef = params
-        scaled = c / coef
-        if th == 0.0:
-            return np.where(u >= scaled, 0.0, math.inf)
-        if th == 1.0:
-            return scaled
-        with np.errstate(over="ignore"):
-            return (scaled / u ** (1.0 - th)) ** (1.0 / th)
-    if fam == "min":
-        return np.where(u >= c, c, math.inf)
-    if fam == "harmonic":
-        # u t / (u + t) >= c  <=>  t (u - c) >= c u
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.where(c < u, c * u / (u - c), math.inf)
-    if fam == "affinepower":
-        a, b, th = params
-        with np.errstate(over="ignore"):
-            return u * (np.maximum(c / u - a, 0.0) / b) ** (1.0 / th)
-    if fam == "cappedpower":
-        (th,) = params
-        return np.where(c <= u, u * np.minimum(c / u, 1.0) ** (1.0 / th), math.inf)
-    return None
-
-
 def _invert_second_arg(f: InterpolationFunction, u: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Smallest t with phi(u, t) >= c, coordinatewise; inf where unattainable.
 
-    Closed forms (exact up to rounding) for the power, min, harmonic,
-    affinepower, cappedpower and mirror(cappedpower) families, see
-    _closed_form_inverse; monotone bisection with range doubling otherwise.
-    The bisection answer is the certified-below end of the bracket, so
-    callers may treat the result as an under-approximation of the true
-    inverse.
+    0 where c <= 0, inf where u <= 0 or c is not finite; elsewhere the exact
+    inverse of quasiconcave.invert_phi.
     """
     u, c = np.broadcast_arrays(np.asarray(u, dtype=float),
                                np.asarray(c, dtype=float))
     out = np.full(u.shape, math.inf)
     out[c <= 0.0] = 0.0
     live = (c > 0.0) & (u > 0.0) & np.isfinite(c)
-    if not np.any(live):
-        return out
-    ul, cl = u[live], c[live]
-    closed = _closed_form_inverse(f, ul, cl)
-    if closed is not None:
-        out[live] = closed
-        return out
-    hi = np.maximum(ul, cl)
-    for _ in range(80):
-        short = eval_phi(f, ul, hi) < cl
-        if not short.any():
-            break
-        hi = np.where(short, hi * 16.0, hi)
-        if np.all(hi[short] > 1e280):
-            break
-    unreachable = eval_phi(f, ul, hi) < cl
-    lo = np.zeros_like(hi)
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        reached = eval_phi(f, ul, mid) >= cl
-        hi = np.where(reached, mid, hi)
-        lo = np.where(reached, lo, mid)
-    out[live] = np.where(unreachable, math.inf, lo)
+    if np.any(live):
+        out[live] = invert_phi(f, u[live], c[live])
     return out
 
 
 def _batched_inner_bracket(c: Couple, f: InterpolationFunction, a_sup: np.ndarray,
-                           support: np.ndarray, us: np.ndarray,
-                           lam_cap: float) -> tuple[np.ndarray, np.ndarray]:
+                           support: np.ndarray, us: np.ndarray, lam_cap: float,
+                           steps: int = 24) -> tuple[np.ndarray, np.ndarray]:
     """Certified bracket on inf over feasible v of max_j a_j/phi(u_j, v_j).
 
     For fixed u the smallest admissible second witness at level lam is the
     coordinatewise inversion of phi; its norm is monotone in lam, so a
     bisection whose low end keeps the norm strictly above one certifies the
     value from below and whose high end stays feasible certifies it from
-    above.  Rows still infeasible at lam_cap report (lam_cap, inf).
+    above.  After the given number of halvings of [0, lam_cap] the bracket
+    is lam_cap 2^-steps wide.  Rows still infeasible at lam_cap report
+    (lam_cap, inf).
     """
     n = us.shape[0]
     lo = np.zeros(n)
@@ -504,7 +354,7 @@ def _batched_inner_bracket(c: Couple, f: InterpolationFunction, a_sup: np.ndarra
         v = _invert_second_arg(f, us, a_sup[None, :] / lam_cap)
         m = lat.norm_rows(c.x1, v, support)
         stuck = ~(m <= 1.0 + 1e-12)  # catches nan as infeasible
-        for _ in range(24):
+        for _ in range(steps):
             mid = 0.5 * (lo + hi)
             v = _invert_second_arg(f, us, a_sup[None, :] / np.where(mid > 0, mid, 1.0)[:, None])
             m = lat.norm_rows(c.x1, v, support)
@@ -726,9 +576,25 @@ def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
 
     method "oracle" demands a closed form (power family on lp-type legs, min,
     piecewise-linear max, or an l-infinity pair), "optimize" forces the
-    two-stage search (scale-invariant multistart, then a lam-bisection polish
-    with the witness re-verified arithmetically), and "auto" prefers the
-    oracle when one applies.
+    search below, and "auto" prefers the oracle when one applies.
+
+    The search runs over the first witness u alone: for fixed u the least
+    lam is a monotone problem whose second witness v is the exact
+    coordinatewise inverse of phi, and _batched_inner_bracket brackets it
+    for many rows of u at once. Starting from u = x/||x||_X0, each round
+    draws 16 * starts rows log-uniformly around the incumbent, with a
+    half-width of 3 that halves every round, for at most iters rounds or
+    until the half-width falls below tol. Rounds of single-coordinate log
+    steps (sizes 3 2^-k down to tol, both signs) follow until a round stops
+    improving, again at most iters of them. An l-infinity first leg takes
+    u = 1, the largest element of its ball. The final lam is bracketed to
+    relative width tol and the witness is re-verified arithmetically. seed
+    fixes the draws, so equal seeds give equal estimates; iterations counts
+    the rows scored. With certify_lower and at most four nonzero
+    coordinates, the branch-and-bound certificate supplies the lower bound
+    (flag "grid-certified", plus "budget-exhausted" when its box budget ran
+    out, which leaves the bound sound but looser); otherwise the lower bound
+    is 0 ("heuristic-lower").
     """
     a = _absx(c, x)
     if not np.any(a > 0):
@@ -765,87 +631,60 @@ def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
     if method not in ("auto", "optimize"):
         raise DomainError(f"unknown method {method!r}")
 
-    # stage 1: scale-invariant multistart search over log witnesses
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
     support = np.flatnonzero(a)
     s = len(support)
-    logs_x = np.log(a[support])
-    rngs = spawn_rngs(seed, max(1, starts))
-    start_points = [np.concatenate([logs_x, logs_x]), np.zeros(2 * s)]
-    while len(start_points) < starts:
-        start_points.append(np.concatenate([logs_x, logs_x])
-                            + rngs[len(start_points)].uniform(-2.0, 2.0, 2 * s))
-
     a_sup = a[support]
-    u_buf = np.zeros(c.dim)
-    v_buf = np.zeros(c.dim)
+    # u = x/||x||_X0, v = x/||x||_X1 is feasible at ||x||_cap/phi(1,1)
+    cap = intersection_norm(c, a) / f.normalization
+    u_best = a_sup / lat.norm(c.x0, a)
+    scored = 0
 
-    def objective(y: np.ndarray) -> float:
-        # exp of clipped logs: positive and finite by construction
-        w = np.exp(np.clip(y, -400.0, 400.0))
-        vals = eval_phi_unchecked(f, w[:s], w[s:])
-        if np.any(vals <= 0.0):
-            return math.inf
-        u_buf[support] = w[:s]
-        v_buf[support] = w[s:]
-        g = float(np.max(a_sup / vals))
-        return g * max(lat.norm(c.x0, u_buf), lat.norm(c.x1, v_buf))
+    def improve(logs: np.ndarray) -> bool:
+        """Score the normalized rows by their inner value, capped at the
+        incumbent's, and adopt the best row if it beats the incumbent."""
+        nonlocal cap, u_best, scored
+        us = np.exp(logs)
+        us /= lat.norm_rows(c.x0, us, support)[:, None]
+        his = _batched_inner_bracket(c, f, a_sup, support, us, cap)[1]
+        scored += us.shape[0]
+        i = int(np.argmin(his))
+        if not his[i] < cap:
+            return False
+        cap, u_best = float(his[i]), us[i]
+        return True
 
-    best = multistart_minimize(objective, start_points[:starts], maxiter=iters)
+    if c.x0.family == "linf":
+        # the ball has a largest element, so the outer infimum sits there
+        u_best = np.ones(s)
+        improve(np.zeros((1, s)))
+    else:
+        rng = np.random.default_rng(seed)
+        half = 3.0
+        for _ in range(iters):
+            if half < tol:
+                break
+            improve(np.log(u_best) + rng.uniform(-half, half, (16 * max(1, starts), s)))
+            half /= 2.0
+        ladder = 3.0 * 0.5 ** np.arange(max(1, math.ceil(math.log2(3.0 / tol))))
+        moves = (np.eye(s)[:, None, :]
+                 * np.concatenate([ladder, -ladder])[None, :, None]).reshape(-1, s)
+        for _ in range(iters):
+            if not improve(np.log(u_best) + moves):
+                break
+    # the incumbent is feasible at cap; the margin keeps it so through rounding
+    steps = max(24, math.ceil(-math.log2(tol)))
+    upper = float(_batched_inner_bracket(c, f, a_sup, support, u_best[None, :],
+                                         cap * (1.0 + 1e-9), steps)[1][0])
+    scored += 1
+    if not math.isfinite(upper):
+        raise SolverError("no feasible witness found", (cap, None))
     u = np.zeros(c.dim)
-    u[support] = np.exp(np.clip(best.point[:s], -400.0, 400.0))
+    v = np.zeros(c.dim)
+    u[support] = u_best
+    v[support] = _invert_second_arg(f, u_best, a_sup / upper)
 
-    # stage 2: normalize u, then bisect lam with exact coordinatewise v
-    upper = math.inf
-    witness = None
-    for _ in range(3):
-        u = u / lat.norm(c.x0, u)
-        polished = _lambda_for_u(c, f, u, a, best.value, rel_tol=tol)
-        if polished is None:
-            break
-        lam, v = polished
-        if lam < upper:
-            upper, witness = lam, (u.copy(), v.copy())
-        # alternate: normalize v and re-derive u by the mirrored inversion
-        nv = lat.norm(c.x1, v)
-        if nv <= 0:
-            break
-        v = v / nv
-        mirrored = _lambda_for_u(Couple(c.x1, c.x0), mirror(f), v, a, lam, rel_tol=tol)
-        if mirrored is None:
-            break
-        lam_m, u_new = mirrored
-        if lam_m < upper:
-            upper, witness = lam_m, (u_new.copy(), v.copy())
-        u = u_new
-    if witness is None:
-        raise SolverError("no feasible witness found", (best.value, None))
-
-    # stage 3: search over u alone with the exact inner inversion; the
-    # alternation above has a continuum of fixed points for power functions,
-    # so the direction of u still has to be optimized
-    if f.family in ("power", "min", "harmonic") or s <= 2:
-        y0 = np.log(np.maximum(witness[0][support], 1e-300))
-
-        def u_objective(y: np.ndarray) -> float:
-            uu = np.zeros(c.dim)
-            uu[support] = np.exp(np.clip(y, -400.0, 400.0))
-            nu = lat.norm(c.x0, uu)
-            if not nu > 0:
-                return math.inf
-            uu /= nu
-            polished = _lambda_for_u(c, f, uu, a, upper * 1.25, rel_tol=tol)
-            return math.inf if polished is None else polished[0]
-
-        res = multistart_minimize(u_objective, [y0], maxiter=max(iters, 100 * s))
-        if res.value < upper:
-            uu = np.zeros(c.dim)
-            uu[support] = np.exp(np.clip(res.point, -400.0, 400.0))
-            uu /= lat.norm(c.x0, uu)
-            polished = _lambda_for_u(c, f, uu, a, upper * 1.25, rel_tol=tol)
-            if polished is not None and polished[0] < upper:
-                upper, witness = polished[0], (uu, polished[1])
-
-    u, v = witness
     # arithmetic re-verification of the returned witness
     vals = eval_phi(f, u, v)
     if not np.all(a <= upper * vals * (1.0 + 1e-12) + 1e-300):
@@ -870,14 +709,15 @@ def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
                     and lat.norm(c.x1, v2) <= 1.0 + 1e-12):
                 upper, u, v = lam2, u2, v2
         lower = min(lower, upper)
-        flags = ("grid-certified",)
+        # the bound stays sound when the box budget runs out, only looser
+        flags = ("grid-certified",) + (() if grid_info["converged"] else ("budget-exhausted",))
     else:
         lower, grid_info = 0.0, None
         flags = ("heuristic-lower",)
     est = NormEstimate(lower, upper,
                        {"u": u.tolist(), "v": v.tolist(), "lam": upper,
                         **({"grid": grid_info} if grid_info else {})},
-                       "optimize", iterations=best.n_evals, flags=flags)
+                       "optimize", iterations=scored, flags=flags)
     return est
 
 

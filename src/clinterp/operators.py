@@ -301,7 +301,7 @@ def rho_pq(
     """
     _shape_check(t, x, y)
     p, q = _check_rho_exponents(p, q)
-    key = ("rho", p, q, x.describe(), y.describe(), seed, tuples, size)
+    key = ("rho", p, q, x.describe(), y.describe(), seed, tuples, size, iters)
     if key in t.cache:
         return t.cache[key]
 

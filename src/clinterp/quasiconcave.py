@@ -108,6 +108,130 @@ def _phi1_raw(f: InterpolationFunction, t: np.ndarray) -> np.ndarray:
     raise InvalidFunctionError(f"unknown family {fam!r}")
 
 
+def _pl_form(f: InterpolationFunction) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """phi1 of a piecewise-linear family as (knots, values, tail slope), or None.
+
+    The knots start at 0 and the values are nondecreasing; phi1 interpolates
+    them linearly and continues past the last knot with the tail slope. On a
+    segment phi1(s) = alpha + beta s the mirror is t phi1(1/t) = alpha t + beta,
+    so the mirror of a form is the form with knots 1/t_k, values y_k/t_k and
+    tail slope y_0, led by the knot 0 with the old tail slope as its value.
+    """
+    fam, params = f.family, f.params
+    if fam == "mirror":
+        inner = _pl_form(params[0])
+        if inner is None:
+            return None
+        ts, ys, tail = inner
+        return (np.concatenate(([0.0], 1.0 / ts[:0:-1])),
+                np.concatenate(([tail], ys[:0:-1] / ts[:0:-1])), float(ys[0]))
+    if fam == "tabulated":
+        # max_k y_k min(1, t/t_k) is y_k from t_k until the ray y_{k+1} t/t_{k+1}
+        # crosses it; the repaired y_k/t_k are nonincreasing
+        ts, ys = np.asarray(params[0]), np.asarray(params[1])
+        cross = np.clip(ys[:-1] * ts[1:] / ys[1:], ts[:-1], ts[1:])
+        knots = np.concatenate(([0.0, ts[0]], np.column_stack([cross, ts[1:]]).ravel()))
+        values = np.concatenate(([0.0, ys[0]], np.column_stack([ys[:-1], ys[1:]]).ravel()))
+        return knots, values, 0.0
+    if fam == "plmax":
+        a, b = params
+        form = ((0.0, a / b), (a, a), b) if a > 0.0 and b > 0.0 else ((0.0,), (a,), b)
+    elif fam == "plmin":
+        a, b = params
+        form = (0.0, a / b), (0.0, a), 0.0
+    elif fam == "hull":
+        form = params[0], params[1], 0.0
+    else:
+        form = {"max": ((0.0, 1.0), (1.0, 1.0), 1.0),
+                "sum": ((0.0,), (1.0,), 1.0),
+                "zero": ((0.0,), (0.0,), 0.0)}.get(fam)
+        if form is None:
+            return None
+    return np.asarray(form[0], dtype=float), np.asarray(form[1], dtype=float), float(form[2])
+
+
+def invert_phi(f: InterpolationFunction, u: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Smallest t >= 0 with phi(u, t) >= c, for positive finite arrays u, c.
+
+    Exact up to rounding, and inf where phi(u, .) saturates below c:
+
+    - the piecewise-linear families (max, sum, plmax, plmin, hull, tabulated,
+      zero and their mirrors): t = u phi1^-1(c/u), one linear solve on the
+      segment that searchsorted finds in the values of _pl_form;
+    - power, min and harmonic in closed form;
+    - affinepower(a, b, theta), phi(u, t) = a u + b u^(1-theta) t^theta:
+      t = u (max(c/u - a, 0)/b)^(1/theta), so t = 0 where c <= a u;
+    - cappedpower(theta), phi(u, t) = min(u, u^(1-theta) t^theta):
+      t = u (c/u)^(1/theta) for c <= u, inf above;
+    - mirror(cappedpower(theta)), phi(u, t) = min(t, t^(1-theta) u^theta):
+      t = max(c, (c u^-theta)^(1/(1-theta))), computed as
+      c max(1, (c/u)^(theta/(1-theta))); theta = 1 is the plain min;
+    - mirror(affinepower(a, b, theta)), phi(u, t) = a t + b u^theta t^(1-theta):
+      t = max(c - b u, 0)/a for theta = 1; otherwise Newton steps on
+      z = log t for log(a e^z + b u^theta e^((1-theta) z)) = log c. That
+      function is convex and increasing in z, so from an upper bound of the
+      root every step decreases z and none passes the root.
+    """
+    form = _pl_form(f)
+    if form is not None:
+        ts, ys, tail = form
+        r = c / u
+        i = np.searchsorted(ys, r)  # the first knot whose value reaches r
+        k = np.maximum(i, 1) - 1  # the segment ending there; past the last knot, the tail
+        dt = np.append(np.diff(ts), 1.0)[k]
+        dy = np.append(np.diff(ys), tail)[k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.where(dy > 0.0, ts[k] + (r - ys[k]) * (dt / dy), _INF)
+        return u * np.where(i == 0, 0.0, s)
+    fam, params = f.family, f.params
+    if fam == "mirror" and params[0].family == "affinepower":
+        a, b, th = params[0].params
+        if th == 1.0:
+            return np.maximum(c - b * u, 0.0) / a
+        bu = b * u**th
+        target = np.log(c)
+        with np.errstate(divide="ignore", over="ignore"):
+            z = np.minimum(np.log(c / a), np.log(c / bu) / (1.0 - th))
+        for _ in range(100):
+            lin, pw = a * np.exp(z), bu * np.exp((1.0 - th) * z)
+            step = (np.log(lin + pw) - target) * (lin + pw) / (lin + (1.0 - th) * pw)
+            z_next = z - np.maximum(step, 0.0)  # a negative step is rounding at the root
+            if np.array_equal(z_next, z):
+                break
+            z = z_next
+        return np.exp(z)
+    if fam == "mirror" and params[0].family == "cappedpower":
+        (th,) = params[0].params
+        if th == 1.0:
+            fam = "min"
+        else:
+            with np.errstate(over="ignore"):
+                return c * np.maximum(1.0, (c / u) ** (th / (1.0 - th)))
+    if fam == "power":
+        th, coef = params
+        scaled = c / coef
+        if th == 0.0:
+            return np.where(u >= scaled, 0.0, _INF)
+        if th == 1.0:
+            return scaled
+        with np.errstate(over="ignore"):
+            return (scaled / u ** (1.0 - th)) ** (1.0 / th)
+    if fam == "min":
+        return np.where(u >= c, c, _INF)
+    if fam == "harmonic":
+        # u t / (u + t) >= c  <=>  t (u - c) >= c u
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.where(c < u, c * u / (u - c), _INF)
+    if fam == "affinepower":
+        a, b, th = params
+        with np.errstate(over="ignore"):
+            return u * (np.maximum(c / u - a, 0.0) / b) ** (1.0 / th)
+    if fam == "cappedpower":
+        (th,) = params
+        return np.where(c <= u, u * np.minimum(c / u, 1.0) ** (1.0 / th), _INF)
+    raise InvalidFunctionError(f"no second-argument inverse for family {fam!r}")
+
+
 def phi1(f: InterpolationFunction, t) -> np.ndarray | float:
     """phi(1, t) for t > 0 (vectorized)."""
     ta = np.asarray(t, dtype=float)
@@ -253,8 +377,8 @@ def mirror(f: InterpolationFunction) -> InterpolationFunction:
     if f.family == "plmax":
         a, b = f.params
         return pl_max(b, a)
-    if f.family in ("min", "zero", "harmonic"):
-        return f
+    if f.family in ("min", "max", "sum", "zero", "harmonic"):
+        return f  # symmetric
     return InterpolationFunction(
         "mirror", (f,),
         f.slope_at_infinity, f.slope_sup, f.phi1_sup, f.phi1_at_zero,

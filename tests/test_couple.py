@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from clinterp import couple as cp
@@ -235,6 +237,57 @@ class TestClNormOptimizer:
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             cp.cl_norm(L1_LINF_2, POWER_HALF, [1.0, 1.0], method="magic")
+        with pytest.raises(DomainError):
+            cp.cl_norm(L1_LINF_2, POWER_HALF, [1.0, 1.0], method="optimize", tol=0.0)
+
+    def test_linf_first_leg_matches_oracle(self):
+        # the l-infinity ball has a largest element, so u = 1 is optimal
+        c = cp.parse_couple("linf:4|lp:0.5:4")
+        x = [0.3, 1.2, 0.7, 1.9]
+        est = cp.cl_norm(c, POWER_HALF, x, method="optimize", certify_lower=False)
+        assert cp.cl_norm(c, POWER_HALF, x).upper == pytest.approx(4.1, rel=1e-12)
+        assert est.upper == pytest.approx(4.1, rel=1e-9)
+        assert est.upper >= 4.1 * (1.0 - 1e-12)
+        assert est.witness["u"] == [1.0] * 4
+
+    def test_budget_exhausted_flag(self):
+        # cappedpower has no dual bound, so this certificate spends the whole
+        # box budget; its lower bound stays sound, only looser
+        c = cp.parse_couple("lp:2:4|lp:1:4")
+        x = np.random.default_rng(0).uniform(0.1, 2.0, 4)
+        est = cp.cl_norm(c, qc.capped_power(0.5), x, method="optimize")
+        assert est.witness["grid"]["converged"] is False
+        assert est.flags == ("grid-certified", "budget-exhausted")
+        assert 0.0 < est.lower <= est.upper <= est.lower * (1.0 + 1e-3)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_power_search_properties(self, data):
+        # random lp/wlp couples with at most four coordinates against the
+        # closed form: bracketing, homogeneity and seed determinism
+        d = data.draw(st.integers(2, 4))
+        legs = []
+        for _ in range(2):
+            p = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+            if data.draw(st.booleans()):
+                legs.append(lat.lp(p, d))
+            else:
+                w = data.draw(st.lists(st.floats(0.25, 4.0), min_size=d, max_size=d))
+                legs.append(lat.weighted_lp(p, d, w))
+        c = cp.Couple(*legs)
+        f = qc.power(data.draw(st.sampled_from([0.25, 0.5, 0.75])))
+        x = np.array(data.draw(st.lists(st.floats(0.05, 5.0), min_size=d, max_size=d)))
+        k = data.draw(st.floats(0.1, 10.0))
+        seed = data.draw(st.integers(0, 2**16))
+        exact = cp.cl_norm(c, f, x, method="oracle").upper
+        est = cp.cl_norm(c, f, x, method="optimize", seed=seed)
+        assert est.lower <= exact * (1.0 + 1e-12)
+        assert exact <= est.upper * (1.0 + 1e-12)
+        assert est.upper <= exact * (1.0 + 1e-6)
+        scaled = cp.cl_norm(c, f, k * x, method="optimize", seed=seed, certify_lower=False)
+        assert scaled.upper == pytest.approx(k * est.upper, rel=1e-9)
+        again = cp.cl_norm(c, f, x, method="optimize", seed=seed)
+        assert again == est
 
 
 def _brentq_inverse(f, u, c):
@@ -249,29 +302,57 @@ def _brentq_inverse(f, u, c):
                   xtol=1e-300, rtol=8.9e-16, maxiter=600)
 
 
+# every family and every mirror; the piecewise-linear families and their
+# mirrors take no theta. (low, top) bound c/u: below the sup of a bounded
+# phi1, where phi(u, .) is strictly increasing up to the root, and for sum
+# away from c/u = phi1(0+) = 1, where the root is ill-conditioned
+_HULL = qc.hull_function([0.0, 1.0, 3.0], [0.5, 1.0, 1.5])
+_TABLE = qc.tabulated([0.5, 1.0, 2.0, 4.0], [0.7, 1.0, 1.2, 1.3])
+_THETA_FAMILIES = {
+    "capped": (qc.capped_power, (0.01, 0.999)),
+    # the mirror with theta < 1 is unbounded, so it is also probed above c = u
+    "mirror": (lambda th: qc.mirror(qc.capped_power(th)), (0.01, 0.999)),
+    # the affine power starts at phi(u, 0) = u and is probed on both sides
+    "affine": (lambda th: qc.affine_power(1.0, 2.0, th), (0.5, 6.0)),
+    "mirror-affine": (lambda th: qc.mirror(qc.affine_power(1.0, 2.0, th)), (0.05, 6.0)),
+}
+_PL_FAMILIES = {
+    "max": (qc.max_function(), (0.01, 6.0)),
+    "sum": (qc.sum_function(), (0.5, 6.0)),
+    "plmax": (qc.pl_max(1.0, 2.0), (0.01, 6.0)),
+    "plmin": (qc.pl_min(1.0, 2.0), (0.01, 0.999)),
+    "hull": (_HULL, (0.01, 1.499)),
+    "tabulated": (_TABLE, (0.01, 1.299)),
+}
+_PL_FAMILIES.update({
+    "mirror-max": (qc.mirror(qc.max_function()), (0.01, 6.0)),
+    "mirror-sum": (qc.mirror(qc.sum_function()), (0.5, 6.0)),
+    "mirror-plmax": (qc.mirror(qc.pl_max(1.0, 2.0)), (0.01, 6.0)),
+    "mirror-plmin": (qc.mirror(qc.pl_min(1.0, 2.0)), (0.01, 1.999)),
+    "mirror-hull": (qc.mirror(_HULL), (0.01, 6.0)),
+    "mirror-tabulated": (qc.mirror(_TABLE), (0.01, 1.399)),
+})
+_INVERSE_CASES = [(family, theta) for theta in (0.25, 0.5, 1.0) for family in _THETA_FAMILIES]
+_INVERSE_CASES += [pytest.param(family, None, id=family) for family in _PL_FAMILIES]
+
+
 class TestClosedFormInverse:
-    @pytest.mark.parametrize("theta", [0.25, 0.5, 1.0])
-    @pytest.mark.parametrize("family", ["capped", "mirror", "affine"])
-    def test_matches_brentq_root(self, theta, family):
-        f = {"capped": qc.capped_power(theta),
-             "mirror": qc.mirror(qc.capped_power(theta)),
-             "affine": qc.affine_power(1.0, 2.0, theta)}[family]
+    @pytest.mark.parametrize("family, theta", _INVERSE_CASES)
+    def test_matches_brentq_root(self, family, theta):
+        if theta is None:
+            f, (low, top) = _PL_FAMILIES[family]
+        else:
+            make, (low, top) = _THETA_FAMILIES[family]
+            f = make(theta)
+            if family == "mirror" and theta < 1.0:
+                top = 4.0
         rng = np.random.default_rng(7)
         u = rng.uniform(0.1, 3.0, 24)
-        # below the cap phi(u, .) is strictly increasing; the mirror with
-        # theta < 1 is unbounded, so it is also probed above c = u; the
-        # affine power starts at phi(u, 0) = u and is probed on both sides
-        low, top = {"capped": (0.01, 0.999),
-                    "mirror": (0.01, 4.0 if theta < 1.0 else 0.999),
-                    "affine": (0.5, 6.0)}[family]
         c = u * rng.uniform(low, top, 24)
-        closed = cp._closed_form_inverse(f, u, c)
-        assert closed is not None
+        closed = qc.invert_phi(f, u, c)
         roots = np.array([_brentq_inverse(f, ui, ci) for ui, ci in zip(u, c)])
         np.testing.assert_allclose(closed, roots, rtol=1e-13, atol=0.0)
         np.testing.assert_array_equal(cp._invert_second_arg(f, u, c), closed)
-        v = cp._min_v_for(cp.Couple(lat.lp(1.0, 24), lat.linf(24)), f, u, c, 1.0)
-        np.testing.assert_array_equal(v, closed)
 
     @pytest.mark.parametrize("theta", [0.25, 0.5, 1.0])
     def test_cappedpower_saturation(self, theta):
@@ -283,9 +364,6 @@ class TestClosedFormInverse:
         assert np.all(qc.eval_phi(f, u, u * (1.0 - 1e-12)) < u)
         above = cp._invert_second_arg(f, u, u * 1.5)
         assert np.all(np.isinf(above))
-        c = cp.Couple(lat.lp(1.0, 3), lat.linf(3))
-        assert cp._min_v_for(c, f, u, u * 1.5, 1.0) is None
-        np.testing.assert_array_equal(cp._min_v_for(c, f, u, u, 1.0), u)
         if theta == 1.0:
             # the mirror of min(1, t) is min(s, t) and saturates the same way
             g = qc.mirror(f)

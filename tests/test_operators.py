@@ -160,6 +160,18 @@ class TestRhoPq:
         assert est.lower >= base.lower * (1 - 1e-12)
         assert est.lower <= est.upper * (1 + 1e-12)
 
+    def test_cache_key_holds_iters(self):
+        # a cached search must not answer for another iteration budget
+        m = np.array([[1.0, -2.0], [3.0, 4.0]])
+        t = ops.OperatorSpec(m)
+        x = lat.lp(1.0, 2)
+        short = ops.rho_pq(t, x, x, math.inf, 1.0, iters=0)
+        long = ops.rho_pq(t, x, x, math.inf, 1.0, iters=150)
+        fresh = ops.rho_pq(ops.OperatorSpec(m), x, x, math.inf, 1.0, iters=150)
+        assert long is not short
+        assert long.iterations == fresh.iterations > short.iterations
+        assert ops.rho_pq(t, x, x, math.inf, 1.0, iters=150) is long
+
     def test_op_norm_below_rho_on_cached_pair(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
