@@ -137,8 +137,13 @@ def _sum_with_linf(c: Couple, a: np.ndarray, inf_leg: int) -> tuple[float, np.nd
 
 
 def _coordinate_descent(c: Couple, a: np.ndarray, x0: np.ndarray,
-                        tol: float = 1e-9, sweeps: int = 60) -> tuple[float, np.ndarray]:
-    """Cyclic exact 1-D minimization of ||x0||_X0 + ||a-x0||_X1 over the box."""
+                        sweeps: int = 60) -> tuple[float, np.ndarray]:
+    """Cyclic exact 1-D minimization of ||x0||_X0 + ||a-x0||_X1 over the box.
+
+    Sweeps run until one stops improving: an ill-conditioned valley is
+    crossed slowly, so a small gain per sweep does not mean the optimum is
+    near.
+    """
     x0 = x0.copy()
     current = lat.norm(c.x0, x0) + lat.norm(c.x1, a - x0)
     for _ in range(sweeps):
@@ -160,7 +165,7 @@ def _coordinate_descent(c: Couple, a: np.ndarray, x0: np.ndarray,
             if cand[0] < current:
                 x0[j] = cand[1]
                 current = cand[0]
-        if previous - current <= tol * max(current, 1e-30):
+        if not current < previous:
             break
     return current, x0
 
@@ -170,10 +175,27 @@ def sum_norm(c: Couple, x, *, seed: int = 0, starts: int = 32, iters: int = 200,
     """inf{||x0||_X0 + ||x1||_X1 : |x| = x0 + x1, x0, x1 >= 0}.
 
     The restriction to nonnegative splits of |x| loses nothing because both
-    legs are ideals with monotone norms. Exact one-dimensional reductions
-    cover l-infinity legs; the convex range is finished by coordinate
-    descent; below p = 1 a multistart search is bracketed from below by the
-    same problem over the convex minorant legs.
+    legs are ideals with monotone norms. Exact reductions cover nested
+    unweighted legs, l-infinity legs, identical convex legs and two weighted
+    l1 legs ("separable-l1"). Otherwise a batched search ("batched-search")
+    runs over the split fractions s in [0, 1]^k on the support, x0 = |x| s,
+    scoring each block of rows with one norm_rows call per leg. The seed
+    rows are s = 1/2 and the corners of the box (all 2^k while k <= 12,
+    else s = 0 and s = 1): with both exponents below 1 the objective is
+    concave and its minimum sits at a corner, and a mixed couple can have
+    its optimum on a face. The best `starts` seed rows become incumbents.
+    Each round draws 16 * starts rows, shared evenly among the incumbents,
+    uniformly within a half-width of each, clipped to the box so that faces
+    and corners stay reachable; every incumbent adopts its best row if that
+    improves it. The half-width starts at 1 and halves every round, for at
+    most iters rounds or until it falls below tol. From the best incumbent,
+    rounds of single-coordinate steps (sizes 2^-j down to tol, both signs)
+    follow until a round stops improving, again at most iters of them, and
+    exact coordinate descent polishes the result. seed fixes the draws, so
+    equal seeds give equal estimates; iterations counts the rows scored.
+    With both legs convex the lower bound is the polished value; below
+    p = 1 it is the lower bound of the same problem over the convex
+    minorant legs (flag "nonconvex").
     """
     a = _absx(c, x)
     if not np.any(a > 0):
@@ -208,36 +230,76 @@ def sum_norm(c: Couple, x, *, seed: int = 0, starts: int = 32, iters: int = 200,
         val = lat.norm(c.x0, a)
         return NormEstimate(val, val, {"x0": a.tolist()}, "identical-legs")
 
-    # search: sigmoid box parametrization, then exact coordinate polish
-    rngs = spawn_rngs(seed, max(1, starts))
-    start_points = [np.zeros(c.dim), np.full(c.dim, 6.0), np.full(c.dim, -6.0)]
-    while len(start_points) < starts:
-        start_points.append(rngs[len(start_points)].uniform(-6.0, 6.0, c.dim))
+    if c.x0.p == 1.0 and c.x1.p == 1.0:
+        # both norms are linear on the positive cone, so each coordinate
+        # goes whole to the leg with the smaller weight
+        val = float(np.sum(a * np.minimum(c.x0.w, c.x1.w)))
+        x0 = np.where(c.x0.w <= c.x1.w, a, 0.0)
+        return NormEstimate(val, val, {"x0": x0.tolist()}, "separable-l1")
 
-    def objective(y: np.ndarray) -> float:
-        x0 = a * expit(y)
-        return lat.norm(c.x0, x0) + lat.norm(c.x1, a - x0)
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
+    support = np.flatnonzero(a)
+    k = len(support)
+    a_sup = a[support]
+    scored = 0
 
-    best = multistart_minimize(objective, start_points[:starts], maxiter=iters)
-    val, x0 = _coordinate_descent(c, a, a * expit(best.point), tol=tol)
-    if convex:
-        lower = val
-        method = "coordinate-descent"
-        flags = ()
+    def score(rows: np.ndarray) -> np.ndarray:
+        """||a s||_X0 + ||a (1 - s)||_X1 for each row s of split fractions."""
+        nonlocal scored
+        scored += rows.shape[0]
+        return (lat.norm_rows(c.x0, a_sup * rows, support)
+                + lat.norm_rows(c.x1, a_sup * (1.0 - rows), support))
+
+    if k <= 12:
+        corners = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(float)
     else:
-        lower = min(_relaxation_lower(c, a), val)
-        method = "multistart+polish"
-        flags = ("nonconvex",)
-    return NormEstimate(lower, val, {"x0": x0.tolist()}, method,
-                        iterations=best.n_evals, flags=flags)
+        corners = np.stack([np.zeros(k), np.ones(k)])
+    seeds = np.vstack([np.full(k, 0.5), corners])
+    vals = score(seeds)
+    keep = np.argsort(vals, kind="stable")[:max(1, starts)]
+    inc, inc_vals = seeds[keep], vals[keep]
+    m = len(keep)
+    per = math.ceil(16 * max(1, starts) / m)
+    rng = np.random.default_rng(seed)
+    half = 1.0
+    for _ in range(iters):
+        if half < tol:
+            break
+        rows = np.clip(inc[:, None, :] + rng.uniform(-half, half, (m, per, k)), 0.0, 1.0)
+        vals = score(rows.reshape(-1, k)).reshape(m, per)
+        j = np.argmin(vals, axis=1)
+        won = np.flatnonzero(vals[np.arange(m), j] < inc_vals)
+        inc[won] = rows[won, j[won]]
+        inc_vals[won] = vals[won, j[won]]
+        half /= 2.0
+
+    i = int(np.argmin(inc_vals))
+    s_best, best = inc[i], float(inc_vals[i])
+    ladder = 0.5 ** np.arange(max(1, math.ceil(math.log2(1.0 / tol))))
+    moves = (np.eye(k)[:, None, :]
+             * np.concatenate([ladder, -ladder])[None, :, None]).reshape(-1, k)
+    for _ in range(iters):
+        rows = np.clip(s_best + moves, 0.0, 1.0)
+        vals = score(rows)
+        j = int(np.argmin(vals))
+        if not vals[j] < best:
+            break
+        s_best, best = rows[j], float(vals[j])
+    x0 = np.zeros(c.dim)
+    x0[support] = a_sup * s_best
+    val, x0 = _coordinate_descent(c, a, x0)
+    if convex:
+        lower, flags = val, ()
+    else:
+        lower, flags = min(_relaxation_lower(c, a), val), ("nonconvex",)
+    return NormEstimate(lower, val, {"x0": x0.tolist()}, "batched-search",
+                        iterations=scored, flags=flags)
 
 
 def _relaxation_lower(c: Couple, a: np.ndarray) -> float:
-    relaxed = Couple(_relaxed_leg(c.x0), _relaxed_leg(c.x1))
-    if relaxed.x0.p == 1.0 and relaxed.x1.p == 1.0:
-        return float(np.sum(a * np.minimum(relaxed.x0.w, relaxed.x1.w)))  # separable exact
-    est = sum_norm(relaxed, a)  # convex by construction, terminates
-    return est.upper
+    # only the lower bound of the minorizing problem bounds the original
+    return sum_norm(Couple(_relaxed_leg(c.x0), _relaxed_leg(c.x1)), a).lower
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
 from clinterp import couple as cp
 from clinterp import lattice as lat
@@ -78,8 +79,9 @@ class TestSumNorm:
         c = cp.Couple(lat.weighted_lp(1.0, 2, [1.0, 3.0]),
                       lat.weighted_lp(1.0, 2, [2.0, 1.0]))
         est = cp.sum_norm(c, [1.0, 1.0], starts=8, iters=120)
-        assert est.upper == pytest.approx(2.0, rel=1e-6)
-        assert est.lower == pytest.approx(est.upper)
+        assert est.method == "separable-l1"
+        assert est.upper == est.lower == 2.0
+        assert est.witness["x0"] == [1.0, 0.0]
 
     def test_quasinorm_identical_legs_split(self):
         # for p = 1/2 the coordinate split beats every proportional one and
@@ -110,6 +112,73 @@ class TestSumNorm:
             a = cp.sum_norm(c, x, starts=8, iters=120).upper
             b = cp.sum_norm(c, 3.0 * x, starts=8, iters=120).upper
             assert b == pytest.approx(3.0 * a, rel=1e-6)
+
+    @pytest.mark.parametrize("couple, x, seed", [
+        ("sub:0.75:5|sub:0.75:5",
+         [0.0, 1.6514551806720272, 1.0809362808666907, 0.7143664034583346, 1.6119549617651103],
+         755),
+        ("sub:0.75:5|sub:0.5:5",
+         [0.792641630192761, 0.5300309085701715, 1.5787350265483793, 1.4324784020850503,
+          1.3828751400775232],
+         351),
+    ])
+    def test_vertex_optimum(self, couple, x, seed):
+        # with both exponents below 1 the split objective is concave, so its
+        # minimum is a coordinate split; a search without the corner rows
+        # stops above it on the second couple
+        c = cp.parse_couple(couple)
+        a = np.asarray(x)
+        vertex = min(lat.norm(c.x0, a * s) + lat.norm(c.x1, a * (1.0 - s))
+                     for s in map(np.array, itertools.product([0.0, 1.0], repeat=len(a))))
+        est = cp.sum_norm(c, a, seed=seed)
+        assert est.upper <= vertex * (1.0 + 1e-12)
+
+    def test_face_optimum(self):
+        # a convex leg against a p < 1 leg: the optimum has s_3 = 1 and s_1,
+        # s_2 inside (0, 1), reached by descent from the corner (0, 0, 1);
+        # a search that follows only the best seed row stops 2 % above it
+        c = cp.parse_couple("lp:3:3|sub:0.5:3")
+        a = np.array([1.1498466048245908, 1.7765494034201768, 0.46279728495962114])
+        face = minimize(lambda t: lat.norm(c.x0, a * [t[0], t[1], 1.0])
+                        + lat.norm(c.x1, a * [1.0 - t[0], 1.0 - t[1], 0.0]),
+                        [0.25, 0.25], method="Nelder-Mead",
+                        options={"xatol": 1e-12, "fatol": 1e-15})
+        est = cp.sum_norm(c, a, seed=473)
+        assert est.upper <= face.fun * (1.0 + 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_search_properties(self, data):
+        # random lp/wlp/sub couples with zeros in x: the bracket sits below
+        # both legs, the witness is a split of |x| that recomposes to the
+        # upper bound, and the estimate is homogeneous and seed-determined
+        d = data.draw(st.integers(1, 5))
+        legs = []
+        for _ in range(2):
+            kind = data.draw(st.sampled_from(["lp", "wlp", "sub"]))
+            if kind == "sub":
+                legs.append(lat.submeasure_lp(data.draw(st.floats(0.5, 0.99)), d))
+                continue
+            p = data.draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.5, 3.0))
+            if kind == "lp":
+                legs.append(lat.lp(p, d))
+            else:
+                w = data.draw(st.lists(st.floats(0.25, 4.0), min_size=d, max_size=d))
+                legs.append(lat.weighted_lp(p, d, w))
+        c = cp.Couple(*legs)
+        a = np.array(data.draw(st.lists(st.just(0.0) | st.floats(0.05, 5.0),
+                                        min_size=d, max_size=d)))
+        seed = data.draw(st.integers(0, 2**16))
+        est = cp.sum_norm(c, a, seed=seed)
+        assert est.lower <= est.upper
+        assert est.upper <= min(lat.norm(c.x0, a), lat.norm(c.x1, a)) * (1.0 + 1e-12)
+        x0 = np.asarray(est.witness["x0"])
+        assert np.all(0.0 <= x0) and np.all(x0 <= a)
+        split = lat.norm(c.x0, x0) + lat.norm(c.x1, a - x0)
+        assert split == pytest.approx(est.upper, rel=1e-12, abs=0.0)
+        scaled = cp.sum_norm(c, 3.0 * a, seed=seed)
+        assert scaled.upper == pytest.approx(3.0 * est.upper, rel=1e-9, abs=0.0)
+        assert cp.sum_norm(c, a, seed=seed) == est
 
 
 class TestClNormOracles:
