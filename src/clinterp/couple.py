@@ -42,6 +42,7 @@ from .quasiconcave import (
     is_doubly_bounded,
     mirror,
     phi1,
+    power_piece,
     split_convex_part,
 )
 
@@ -427,7 +428,11 @@ def _batched_inner_bracket(c: Couple, f: InterpolationFunction, a_sup: np.ndarra
 
 
 def _dual_bound_ready(c: Couple, f: InterpolationFunction) -> bool:
-    return (f.family == "power" and 0.0 < f.params[0] < 1.0
+    """Whether _batched_dual_lower applies: the inverse of phi in its second
+    argument is one power piece (quasiconcave.power_piece: power, cappedpower
+    and mirror(cappedpower), for 0 < theta < 1) and both legs have a finite
+    exponent."""
+    return (power_piece(f) is not None
             and math.isfinite(c.x0.p) and math.isfinite(c.x1.p))
 
 
@@ -436,39 +441,64 @@ def _batched_dual_lower(c: Couple, f: InterpolationFunction, a_sup: np.ndarray,
                         lam_cap: float) -> np.ndarray:
     """Certified box bound via the Lagrangian dual of the inner knapsack.
 
-    For the power function on legs of finite exponent the minimal second
-    witness is eliminated in closed form and feasibility of a level lam reads
-    min { sum_j c_j u_j^(-alpha) : u in box, sum_j w_j u_j^p <= 1 } <= 1.
+    The minimal second witness is the power piece of quasiconcave.power_piece,
+    v_j = max(A c_j, (c_j/coef)^(1/theta) u_j^(-beta)) on u_j >= L c_j with
+    c_j = a_j/lam, so on legs of finite exponent p and q feasibility of a
+    level lam reads
+    min { sum_j w1_j v_j^q : u in box, u_j >= L c_j, sum_j w0_j u_j^p <= 1 } <= 1.
     Weak duality bounds that minimum from below for every multiplier mu >= 0
-    by separable one-dimensional minimizations with closed-form stationary
-    points, so L(mu) > 1 certifies lam infeasible; mu = 0 recovers the plain
-    corner bound, and the stationarity seed makes the bound tight near the
-    optimum without resolving the feasibility surface geometrically.
+    by separable one-dimensional minimizations, so L(mu) > 1 certifies lam
+    infeasible, convex legs or not.  Each term max(D_j, C_j u^(-alpha))
+    + mu w0_j u^p, alpha = q beta, on [max(lo, L c_j), hi] takes its exact
+    minimum on one of two branches split at u0_j, where the power part meets
+    the constant D_j = w1_j (A c_j)^q: the closed-form stationary point
+    clipped to the interval below u0_j, or the left end above it.  Any split
+    point keeps the bound sound and the exact one keeps it tight; an empty
+    interval makes the term infinite.  mu = 0 recovers the plain corner
+    bound, and the stationarity seed makes the bound tight near the optimum
+    without resolving the feasibility surface geometrically.
     """
-    th, coef = f.params
+    th, coef, a_floor, low = power_piece(f)
     p = c.x0.p
     q = c.x1.p
     w0 = c.x0.w[support]
     w1 = c.x1.w[support]
-    alpha = q * (1.0 - th) / th
+    beta = (1.0 - th) / th
+    alpha = q * beta
+    # u0 / c_j, where (c/coef)^(1/theta) u^(-beta) = A c; inf without a floor
+    split = (a_floor * coef ** (1.0 / th)) ** (-1.0 / beta) if a_floor > 0.0 else math.inf
     n = los.shape[0]
 
     def infeasible_at(lam: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            cs = a_sup[None, :] / lam[:, None]
             cj = w1[None, :] * (a_sup[None, :] / (lam[:, None] * coef)) ** (q / th)
             tail = np.sum(w0[None, :] ** (alpha / (alpha + p))
                           * (alpha * cj / p) ** (p / (alpha + p)), axis=1)
             mu_seed = tail ** ((alpha + p) / p)
+            # the 1e-12 keeps rounding in a/lam from emptying a feasible box
+            bottom = np.maximum(los, low * cs * (1.0 - 1e-12))
+            top = np.minimum(his, split * cs)  # the power branch
+            const_at = np.maximum(bottom, split * cs)  # the constant branch
+            power_live = bottom <= top
+            const_live = const_at <= his
+            const_term = w1[None, :] * (a_floor * cs) ** q
             out = np.zeros(lam.shape[0], dtype=bool)
             for scale in (0.0, 0.25, 1.0, 4.0):
                 if scale == 0.0:
-                    ustar = his
+                    ustar = top
                     mu = np.zeros(lam.shape[0])
                 else:
                     mu = mu_seed * scale
                     ustar = np.clip((alpha * cj / (mu[:, None] * p * w0[None, :]))
-                                    ** (1.0 / (alpha + p)), los, his)
-                hvals = cj * ustar ** (-alpha) + mu[:, None] * w0[None, :] * ustar ** p
+                                    ** (1.0 / (alpha + p)), bottom, top)
+                hvals = np.minimum(
+                    np.where(power_live,
+                             cj * ustar ** (-alpha) + mu[:, None] * w0[None, :] * ustar ** p,
+                             math.inf),
+                    np.where(const_live,
+                             const_term + mu[:, None] * w0[None, :] * const_at ** p,
+                             math.inf))
                 lag = np.sum(hvals, axis=1) - mu
                 out |= lag > 1.0 + 1e-12
             return out
@@ -498,8 +528,11 @@ def _reduce_box_tops(spec: lat.LatticeSpec, los: np.ndarray, his: np.ndarray,
     return np.minimum(his, np.maximum(cap, los))
 
 
-def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray, upper: float,
-                budget: int = 16384) -> tuple[float, dict] | None:
+_BOX_BUDGET = 262_144  # boxes _grid_lower may evaluate before it stops unconverged
+
+
+def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray,
+                upper: float) -> tuple[float, dict] | None:
     """Certified lower bound by branch-and-bound over the first witness.
 
     The inner value for fixed u is nonincreasing in u, so a box's upper
@@ -509,7 +542,9 @@ def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray, upper: float
     coordinate) already exceed tau, so the search domain is [floor, cap];
     boxes whose lower corner escapes the unit ball hold no witness at all.
     The returned value min(active bounds, settled bounds, tau) is therefore
-    a true lower bound for every feasible witness.
+    a true lower bound for every feasible witness.  Where _dual_bound_ready
+    holds, each box bound is also raised to _batched_dual_lower.  The search
+    stops unconverged after _BOX_BUDGET boxes.
     """
     support = np.flatnonzero(a)
     s = len(support)
@@ -518,12 +553,8 @@ def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray, upper: float
     if not math.isfinite(upper) or upper <= 0.0:
         return None
     a_sup = a[support]
-    caps = np.empty((2, s))
-    for row, spec in enumerate((c.x0, c.x1)):
-        for i, j in enumerate(support):
-            ej = np.zeros(c.dim)
-            ej[j] = 1.0
-            caps[row, i] = 1.0 / lat.norm(spec, ej)
+    # the largest admissible coordinate of each leg, 1/||e_j||
+    caps = 1.0 / np.stack([spec.w[support] ** (1.0 / spec.p) for spec in (c.x0, c.x1)])
     tau = upper * (1.0 - 4e-4)
     lam_cap = upper * (1.0 + 1e-9)
     if c.x0.family == "linf":
@@ -549,10 +580,14 @@ def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray, upper: float
 
     def box_bounds(lo_rows: np.ndarray, hi_rows: np.ndarray,
                    corner_vals: np.ndarray) -> np.ndarray:
-        if not use_dual:
+        # the dual only matters for boxes the corner bound leaves open
+        weak = corner_vals < tau
+        if not use_dual or not np.any(weak):
             return corner_vals
-        dual = _batched_dual_lower(c, f, a_sup, support, lo_rows, hi_rows, lam_cap)
-        return np.maximum(corner_vals, dual)
+        out = corner_vals.copy()
+        out[weak] = np.maximum(corner_vals[weak], _batched_dual_lower(
+            c, f, a_sup, support, lo_rows[weak], hi_rows[weak], lam_cap))
+        return out
 
     los = floor[None, :].copy()
     his = _reduce_box_tops(c.x0, los, caps[0][None, :].copy(), support)
@@ -562,7 +597,7 @@ def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray, upper: float
     converged = False
     group = 512
     best_corner: tuple[float, np.ndarray] | None = None
-    while evaluated < budget * 16:
+    while evaluated < _BOX_BUDGET:
         if bounds.shape[0] == 0 or float(np.min(bounds)) >= tau:
             converged = True
             break
@@ -654,9 +689,14 @@ def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
     fixes the draws, so equal seeds give equal estimates; iterations counts
     the rows scored. With certify_lower and at most four nonzero
     coordinates, the branch-and-bound certificate supplies the lower bound
-    (flag "grid-certified", plus "budget-exhausted" when its box budget ran
-    out, which leaves the bound sound but looser); otherwise the lower bound
-    is 0 ("heuristic-lower").
+    (flag "grid-certified"); otherwise the lower bound is 0
+    ("heuristic-lower"). Where the inverse of phi in its second argument is
+    one power piece (power, cappedpower and mirror(cappedpower), 0 < theta
+    < 1) on legs of finite exponent, each box is also bounded through the
+    Lagrangian dual of its inner problem, and the certificate usually closes
+    in one box. Other families (harmonic, sum, affinepower, hull, ...) rely
+    on box corners alone and may add "budget-exhausted": the box budget ran
+    out, which leaves the bound sound but looser.
     """
     a = _absx(c, x)
     if not np.any(a > 0):

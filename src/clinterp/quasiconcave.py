@@ -166,6 +166,7 @@ def invert_phi(f: InterpolationFunction, u: np.ndarray, c: np.ndarray) -> np.nda
     - mirror(cappedpower(theta)), phi(u, t) = min(t, t^(1-theta) u^theta):
       t = max(c, (c u^-theta)^(1/(1-theta))), computed as
       c max(1, (c/u)^(theta/(1-theta))); theta = 1 is the plain min;
+      power_piece describes these last two and power as one power piece;
     - mirror(affinepower(a, b, theta)), phi(u, t) = a t + b u^theta t^(1-theta):
       t = max(c - b u, 0)/a for theta = 1; otherwise Newton steps on
       z = log t for log(a e^z + b u^theta e^((1-theta) z)) = log c. That
@@ -230,6 +231,30 @@ def invert_phi(f: InterpolationFunction, u: np.ndarray, c: np.ndarray) -> np.nda
         (th,) = params
         return np.where(c <= u, u * np.minimum(c / u, 1.0) ** (1.0 / th), _INF)
     raise InvalidFunctionError(f"no second-argument inverse for family {fam!r}")
+
+
+def power_piece(f: InterpolationFunction) -> tuple[float, float, float, float] | None:
+    """(theta, coef, A, L) when invert_phi(f, u, c) is one power piece.
+
+    That is, with 0 < theta < 1 and beta = (1-theta)/theta,
+
+        t = max(A c, (c/coef)^(1/theta) u^(-beta))  for u >= L c,  inf below,
+
+    which is what invert_phi computes for power(theta, coef) (A = L = 0),
+    cappedpower(theta) (coef = 1, A = 0, L = 1: saturation at c = u) and
+    mirror(cappedpower(theta)) (theta -> 1 - theta, coef = 1, A = 1, L = 0).
+    None for every other function, and for the exponents 0 and 1.
+    """
+    fam, params = f.family, f.params
+    if fam == "power":
+        (th, coef), a, low = params, 0.0, 0.0
+    elif fam == "cappedpower":
+        (th,), coef, a, low = params, 1.0, 0.0, 1.0
+    elif fam == "mirror" and params[0].family == "cappedpower":
+        th, coef, a, low = 1.0 - params[0].params[0], 1.0, 1.0, 0.0
+    else:
+        return None
+    return (th, coef, a, low) if 0.0 < th < 1.0 else None
 
 
 def phi1(f: InterpolationFunction, t) -> np.ndarray | float:

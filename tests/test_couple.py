@@ -320,11 +320,12 @@ class TestClNormOptimizer:
         assert est.witness["u"] == [1.0] * 4
 
     def test_budget_exhausted_flag(self):
-        # cappedpower has no dual bound, so this certificate spends the whole
-        # box budget; its lower bound stays sound, only looser
-        c = cp.parse_couple("lp:2:4|lp:1:4")
-        x = np.random.default_rng(0).uniform(0.1, 2.0, 4)
-        est = cp.cl_norm(c, qc.capped_power(0.5), x, method="optimize")
+        # sum's inverse is piecewise linear, not one power piece, so it has no
+        # dual bound and this certificate spends the whole box budget; its
+        # lower bound stays sound, only looser
+        c = cp.parse_couple("lp:1:3|lp:2:3")
+        x = np.random.default_rng(0).uniform(0.1, 2.0, 3)
+        est = cp.cl_norm(c, qc.sum_function(), x, method="optimize")
         assert est.witness["grid"]["converged"] is False
         assert est.flags == ("grid-certified", "budget-exhausted")
         assert 0.0 < est.lower <= est.upper <= est.lower * (1.0 + 1e-3)
@@ -451,6 +452,117 @@ class TestClosedFormInverse:
         assert lat.norm(c.x0, u) <= 1.0 + 1e-12
         assert lat.norm(c.x1, v) <= 1.0 + 1e-12
         assert 0.0 <= est.lower <= est.upper
+
+
+_PIECE_FAMILIES = {
+    "power": lambda th: qc.power(th, 2.5),
+    "capped": qc.capped_power,
+    "mirror": lambda th: qc.mirror(qc.capped_power(th)),
+}
+
+
+def _random_leg(rng, d):
+    p = rng.choice([0.5, 1.0, 1.5, 2.0, 3.0])
+    if rng.random() < 0.5:
+        return lat.lp(p, d)
+    return lat.weighted_lp(p, d, rng.uniform(0.25, 4.0, d))
+
+
+class TestDualBound:
+    @pytest.mark.parametrize("theta", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("family", sorted(_PIECE_FAMILIES))
+    def test_piece_matches_inverse(self, family, theta):
+        # the dual bound reads the inverse off power_piece; the two must agree
+        f = _PIECE_FAMILIES[family](theta)
+        th, coef, a_floor, low = qc.power_piece(f)
+        rng = np.random.default_rng(3)
+        u = rng.uniform(0.1, 3.0, 48)
+        c = u * rng.uniform(0.05, 4.0, 48)
+        piece = np.maximum(a_floor * c, (c / coef) ** (1.0 / th) * u ** (-(1.0 - th) / th))
+        piece = np.where(u >= low * c, piece, math.inf)
+        np.testing.assert_allclose(qc.invert_phi(f, u, c), piece, rtol=1e-13, atol=0.0)
+
+    def test_piece_families(self):
+        assert qc.power_piece(qc.capped_power(1.0)) is None
+        assert qc.power_piece(qc.mirror(qc.capped_power(1.0))) is None
+        assert qc.power_piece(qc.power(1.0)) is None
+        assert qc.power_piece(qc.sum_function()) is None
+        assert qc.power_piece(qc.harmonic()) is None
+        assert qc.power_piece(qc.mirror(qc.capped_power(0.25))) == (0.75, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("family", sorted(_PIECE_FAMILIES))
+    def test_box_bound_is_sound(self, family):
+        # the bound is a level certified infeasible on the whole box, so no
+        # sampled witness u in the box and the X0 unit ball may reach it:
+        # the minimal v of invert_phi at that level has X1 norm above one
+        rng = np.random.default_rng(sorted(_PIECE_FAMILIES).index(family))
+        near = []
+        for _ in range(20):
+            s = int(rng.integers(1, 4))
+            c = cp.Couple(_random_leg(rng, s), _random_leg(rng, s))
+            f = _PIECE_FAMILIES[family](rng.uniform(0.2, 0.8))
+            support = np.arange(s)
+            a = rng.uniform(0.1, 2.0, s)
+            caps = 1.0 / c.x0.w ** (1.0 / c.x0.p)
+            los = caps * rng.uniform(0.02, 0.6, (6, s)) / s
+            his = np.minimum(los * np.exp(rng.uniform(0.1, 3.0, (6, s))), caps)
+            lam_cap = 100.0 * cp.intersection_norm(c, a) / f.normalization
+            bounds = cp._batched_dual_lower(c, f, a, support, los, his, lam_cap)
+            assert np.all(bounds > 0.0)
+            per_axis = {1: 2000, 2: 90, 3: 20}[s]
+            for lo, hi, bound in zip(los, his, bounds):
+                axes = [np.geomspace(lo[j], hi[j], per_axis) for j in range(s)]
+                us = np.array(list(itertools.product(*axes)))
+                us = us[lat.norm_rows(c.x0, us, support) <= 1.0]
+                if not len(us):
+                    continue
+                at = lat.norm_rows(c.x1, cp._invert_second_arg(f, us, a / bound), support)
+                assert np.min(at) > 1.0 - 1e-12
+                above = cp._invert_second_arg(f, us, a / (1.01 * bound))
+                near.append(np.min(lat.norm_rows(c.x1, above, support)) <= 1.0)
+        # and it is not vacuous: most boxes hold a sample within 1% of it
+        assert np.mean(near) >= 0.75
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_cappedpower_closes(self, mirrored):
+        # both sides of the mirror identity spent the whole box budget
+        # without a dual bound for cappedpower
+        f = qc.capped_power(0.5)
+        c = cp.parse_couple("lp:2:4|lp:1:4")
+        if mirrored:
+            f, c = qc.mirror(f), cp.Couple(c.x1, c.x0)
+        x = np.random.default_rng(0).uniform(0.1, 2.0, 4)
+        est = cp.cl_norm(c, f, x, method="optimize")
+        assert est.witness["grid"]["converged"] is True
+        assert est.flags == ("grid-certified",)
+        assert 0.0 < est.lower <= est.upper <= est.lower * (1.0 + 1e-3)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_certified_mirror_identity(self, data):
+        # ||x||_{phi; X0, X1} = ||x||_{mirror phi; X1, X0}, so each certified
+        # lower bound lies below the other side's upper bound
+        d = data.draw(st.integers(2, 4))
+        legs = []
+        for _ in range(2):
+            p = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+            if data.draw(st.booleans()):
+                legs.append(lat.lp(p, d))
+            else:
+                w = data.draw(st.lists(st.floats(0.25, 4.0), min_size=d, max_size=d))
+                legs.append(lat.weighted_lp(p, d, w))
+        f = qc.capped_power(data.draw(st.sampled_from([0.25, 0.5, 0.75])))
+        if data.draw(st.booleans()):
+            f = qc.mirror(f)
+        x = np.array(data.draw(st.lists(st.floats(0.05, 5.0), min_size=d, max_size=d)))
+        seed = data.draw(st.integers(0, 2**16))
+        est = cp.cl_norm(cp.Couple(*legs), f, x, method="optimize", seed=seed)
+        swapped = cp.cl_norm(cp.Couple(legs[1], legs[0]), qc.mirror(f), x,
+                             method="optimize", seed=seed)
+        for one, other in ((est, swapped), (swapped, est)):
+            assert "grid-certified" in one.flags
+            assert 0.0 < one.lower <= one.upper
+            assert one.lower <= other.upper * (1.0 + 1e-12)
 
 
 class TestEquivalence:
