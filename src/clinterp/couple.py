@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import expit
 
 from . import lattice as lat
-from ._optim import multistart_minimize, spawn_rngs
+from ._optim import batched_search
 from .errors import (
     DescriptorError,
     DomainError,
@@ -181,19 +180,14 @@ def sum_norm(c: Couple, x, *, seed: int = 0, starts: int = 32, iters: int = 200,
     l1 legs ("separable-l1"). Otherwise a batched search ("batched-search")
     runs over the split fractions s in [0, 1]^k on the support, x0 = |x| s,
     scoring each block of rows with one norm_rows call per leg. The seed
-    rows are s = 1/2 and the corners of the box (all 2^k while k <= 12,
-    else s = 0 and s = 1): with both exponents below 1 the objective is
-    concave and its minimum sits at a corner, and a mixed couple can have
-    its optimum on a face. The best `starts` seed rows become incumbents.
-    Each round draws 16 * starts rows, shared evenly among the incumbents,
-    uniformly within a half-width of each, clipped to the box so that faces
-    and corners stay reachable; every incumbent adopts its best row if that
-    improves it. The half-width starts at 1 and halves every round, for at
-    most iters rounds or until it falls below tol. From the best incumbent,
-    rounds of single-coordinate steps (sizes 2^-j down to tol, both signs)
-    follow until a round stops improving, again at most iters of them, and
-    exact coordinate descent polishes the result. seed fixes the draws, so
-    equal seeds give equal estimates; iterations counts the rows scored.
+    rows are s = 1/2 and the corners of the box (_split_seeds): with both
+    exponents below 1 the objective is concave and its minimum sits at a
+    corner, and a mixed couple can have its optimum on a face.
+    _optim.batched_search follows the best `starts` of them as incumbents,
+    with 16 * starts rows per round, a half-width of 1 halving down to tol
+    and at most iters rounds of each stage, and exact coordinate descent
+    polishes the result. seed fixes the draws, so equal seeds give equal
+    estimates; iterations counts the rows scored.
     With both legs convex the lower bound is the polished value; below
     p = 1 it is the lower bound of the same problem over the convex
     minorant legs (flag "nonconvex").
@@ -243,50 +237,15 @@ def sum_norm(c: Couple, x, *, seed: int = 0, starts: int = 32, iters: int = 200,
     support = np.flatnonzero(a)
     k = len(support)
     a_sup = a[support]
-    scored = 0
 
     def score(rows: np.ndarray) -> np.ndarray:
         """||a s||_X0 + ||a (1 - s)||_X1 for each row s of split fractions."""
-        nonlocal scored
-        scored += rows.shape[0]
         return (lat.norm_rows(c.x0, a_sup * rows, support)
                 + lat.norm_rows(c.x1, a_sup * (1.0 - rows), support))
 
-    if k <= 12:
-        corners = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(float)
-    else:
-        corners = np.stack([np.zeros(k), np.ones(k)])
-    seeds = np.vstack([np.full(k, 0.5), corners])
-    vals = score(seeds)
-    keep = np.argsort(vals, kind="stable")[:max(1, starts)]
-    inc, inc_vals = seeds[keep], vals[keep]
-    m = len(keep)
-    per = math.ceil(16 * max(1, starts) / m)
-    rng = np.random.default_rng(seed)
-    half = 1.0
-    for _ in range(iters):
-        if half < tol:
-            break
-        rows = np.clip(inc[:, None, :] + rng.uniform(-half, half, (m, per, k)), 0.0, 1.0)
-        vals = score(rows.reshape(-1, k)).reshape(m, per)
-        j = np.argmin(vals, axis=1)
-        won = np.flatnonzero(vals[np.arange(m), j] < inc_vals)
-        inc[won] = rows[won, j[won]]
-        inc_vals[won] = vals[won, j[won]]
-        half /= 2.0
-
-    i = int(np.argmin(inc_vals))
-    s_best, best = inc[i], float(inc_vals[i])
-    ladder = 0.5 ** np.arange(max(1, math.ceil(math.log2(1.0 / tol))))
-    moves = (np.eye(k)[:, None, :]
-             * np.concatenate([ladder, -ladder])[None, :, None]).reshape(-1, k)
-    for _ in range(iters):
-        rows = np.clip(s_best + moves, 0.0, 1.0)
-        vals = score(rows)
-        j = int(np.argmin(vals))
-        if not vals[j] < best:
-            break
-        s_best, best = rows[j], float(vals[j])
+    s_best, _, scored = batched_search(
+        score, _split_seeds(k), lo=0.0, hi=1.0, rows=16 * max(1, starts), keep=starts,
+        half=1.0, iters=iters, tol=tol, rng=np.random.default_rng(seed))
     x0 = np.zeros(c.dim)
     x0[support] = a_sup * s_best
     val, x0 = _coordinate_descent(c, a, x0)
@@ -296,6 +255,16 @@ def sum_norm(c: Couple, x, *, seed: int = 0, starts: int = 32, iters: int = 200,
         lower, flags = min(_relaxation_lower(c, a), val), ("nonconvex",)
     return NormEstimate(lower, val, {"x0": x0.tolist()}, "batched-search",
                         iterations=scored, flags=flags)
+
+
+def _split_seeds(k: int) -> np.ndarray:
+    """s = 1/2 and the corners of [0, 1]^k (all 2^k while k <= 12, else s = 0
+    and s = 1), the seed rows of every search over split fractions."""
+    if k <= 12:
+        corners = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(float)
+    else:
+        corners = np.stack([np.zeros(k), np.ones(k)])
+    return np.vstack([np.full(k, 0.5), corners])
 
 
 def _relaxation_lower(c: Couple, a: np.ndarray) -> float:
@@ -678,13 +647,12 @@ def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
     The search runs over the first witness u alone: for fixed u the least
     lam is a monotone problem whose second witness v is the exact
     coordinatewise inverse of phi, and _batched_inner_bracket brackets it
-    for many rows of u at once. Starting from u = x/||x||_X0, each round
-    draws 16 * starts rows log-uniformly around the incumbent, with a
-    half-width of 3 that halves every round, for at most iters rounds or
-    until the half-width falls below tol. Rounds of single-coordinate log
-    steps (sizes 3 2^-k down to tol, both signs) follow until a round stops
-    improving, again at most iters of them. An l-infinity first leg takes
-    u = 1, the largest element of its ball. The final lam is bracketed to
+    for many rows of u at once. _optim.batched_search runs over log u from
+    the one seed u = x/||x||_X0, with 16 * starts log-uniform rows per round
+    around the incumbent, a half-width of 3 halving down to tol and at most
+    iters rounds of each stage; every row is normalized into the unit ball
+    and bracketed at the least value scored so far. An l-infinity first leg
+    takes u = 1, the largest element of its ball. The final lam is bracketed to
     relative width tol and the witness is re-verified arithmetically. seed
     fixes the draws, so equal seeds give equal estimates; iterations counts
     the rows scored. With certify_lower and at most four nonzero
@@ -740,41 +708,28 @@ def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
     a_sup = a[support]
     # u = x/||x||_X0, v = x/||x||_X1 is feasible at ||x||_cap/phi(1,1)
     cap = intersection_norm(c, a) / f.normalization
-    u_best = a_sup / lat.norm(c.x0, a)
-    scored = 0
 
-    def improve(logs: np.ndarray) -> bool:
-        """Score the normalized rows by their inner value, capped at the
-        incumbent's, and adopt the best row if it beats the incumbent."""
-        nonlocal cap, u_best, scored
+    def score(logs: np.ndarray) -> np.ndarray:
+        """The inner value of each normalized row u = exp(log u), bracketed
+        at the least value scored so far."""
+        nonlocal cap
         us = np.exp(logs)
         us /= lat.norm_rows(c.x0, us, support)[:, None]
         his = _batched_inner_bracket(c, f, a_sup, support, us, cap)[1]
-        scored += us.shape[0]
-        i = int(np.argmin(his))
-        if not his[i] < cap:
-            return False
-        cap, u_best = float(his[i]), us[i]
-        return True
+        cap = min(cap, float(np.min(his)))
+        return his
 
-    if c.x0.family == "linf":
-        # the ball has a largest element, so the outer infimum sits there
-        u_best = np.ones(s)
-        improve(np.zeros((1, s)))
-    else:
-        rng = np.random.default_rng(seed)
-        half = 3.0
-        for _ in range(iters):
-            if half < tol:
-                break
-            improve(np.log(u_best) + rng.uniform(-half, half, (16 * max(1, starts), s)))
-            half /= 2.0
-        ladder = 3.0 * 0.5 ** np.arange(max(1, math.ceil(math.log2(3.0 / tol))))
-        moves = (np.eye(s)[:, None, :]
-                 * np.concatenate([ladder, -ladder])[None, :, None]).reshape(-1, s)
-        for _ in range(iters):
-            if not improve(np.log(u_best) + moves):
-                break
+    # an l-infinity first leg: the ball has a largest element, u = 1, so the
+    # outer infimum sits there and the seed row is all the search scores
+    linf = c.x0.family == "linf"
+    seed_u = np.ones(s) if linf else a_sup / lat.norm(c.x0, a)
+    # normalization only shifts log u along (1, ..., 1), so un-normalized
+    # incumbents draw the same normalized rows
+    log_u, _, scored = batched_search(
+        score, np.log(seed_u), lo=-math.inf, hi=math.inf, rows=16 * max(1, starts), keep=1,
+        half=3.0, iters=0 if linf else iters, tol=tol, rng=np.random.default_rng(seed))
+    u_best = np.exp(log_u)
+    u_best /= lat.norm_rows(c.x0, u_best[None, :], support)[0]
     # the incumbent is feasible at cap; the margin keeps it so through rounding
     steps = max(24, math.ceil(-math.log2(tol)))
     upper = float(_batched_inner_bracket(c, f, a_sup, support, u_best[None, :],
@@ -834,7 +789,12 @@ def phi_space_equivalence(c: Couple, f: InterpolationFunction, samples, *,
 
     For each sample the ratio of the phi-norm to inf{||x'||_pl + ||x''||_eta}
     over splits x = x' + x'' must lie within the two-sided factor 2, up to
-    optimizer tolerance.
+    the ratio tolerance tol. The split infimum is searched over the split
+    fractions s in [0, 1]^k on the support, x' = |x| s, by
+    _optim.batched_search from the seed rows of sum_norm, following the best
+    `starts` as incumbents with 4 * starts rows per round down to a fixed
+    resolution of 1e-6; every row costs two uncertified cl_norm calls. Each
+    sample draws from its own generator, seeded by (seed, sample index).
     """
     pair = split_convex_part(f)
     pl, eta = pair.pl_part, pair.eta_part
@@ -849,28 +809,25 @@ def phi_space_equivalence(c: Couple, f: InterpolationFunction, samples, *,
         phi_val = cl_norm(c, f, a, seed=seed, starts=starts, iters=iters,
                           certify_lower=False).upper
 
-        def split_value(apart: np.ndarray) -> float:
-            rest = a - apart
-            val0 = cl_norm(c, pl, apart, seed=seed, starts=starts, iters=iters,
-                           certify_lower=False).upper if np.any(apart > 0) else 0.0
-            val1 = cl_norm(c, eta, rest, seed=seed, starts=starts, iters=iters,
-                           certify_lower=False).upper if np.any(rest > 0) else 0.0
-            return val0 + val1
+        support = np.flatnonzero(a)
+
+        def split_value(frac: np.ndarray) -> float:
+            apart = np.zeros(c.dim)
+            apart[support] = a[support] * frac
+            return sum(cl_norm(c, g, part, seed=seed, starts=starts, iters=iters,
+                               certify_lower=False).upper
+                       for g, part in ((pl, apart), (eta, a - apart)) if np.any(part > 0))
 
         if pl.family == "zero":
-            split_val = split_value(np.zeros(c.dim))
+            split_val = split_value(np.zeros(len(support)))
         elif eta.family == "zero":
-            split_val = split_value(a)
+            split_val = split_value(np.ones(len(support)))
         else:
-            best = math.inf
-            for endpoint in (np.zeros(c.dim), a):
-                best = min(best, split_value(endpoint))
-            rngs = spawn_rngs(seed + 17 * idx, starts)
-            starts_y = [np.zeros(c.dim)] + [r.uniform(-6.0, 6.0, c.dim) for r in rngs[:-1]]
-            res = multistart_minimize(lambda y: split_value(a * expit(y)),
-                                      starts_y, maxiter=iters)
-            best = min(best, res.value)
-            split_val = best
+            split_val = batched_search(
+                lambda rows: np.array([split_value(row) for row in rows]),
+                _split_seeds(len(support)), lo=0.0, hi=1.0, rows=4 * max(1, starts),
+                keep=starts, half=1.0, iters=iters, tol=1e-6,
+                rng=np.random.default_rng((seed, idx)))[1]
         ratio = phi_val / split_val if split_val > 0 else math.inf
         worst_hi = max(worst_hi, ratio)
         worst_lo = min(worst_lo, ratio)

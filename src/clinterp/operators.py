@@ -16,7 +16,7 @@ import numpy as np
 
 from . import lattice as lat
 from . import pathology as pat
-from ._optim import multistart_minimize, spawn_rngs
+from ._optim import batched_search, spawn_rngs
 from .couple import Couple, NormEstimate, cl_norm, sum_norm
 from .errors import (
     DescriptorError,
@@ -111,16 +111,15 @@ def _op_norm_oracle(t: OperatorSpec, x: lat.LatticeSpec, y: lat.LatticeSpec) -> 
         j = 0
         wit = np.eye(n)[j] / lat.norm(x, np.eye(n)[j])
         return NormEstimate(atom_vals[j], atom_vals[j], {"x": wit.tolist()}, "vertex:atoms")
-    if x.family in ("lp", "wlp") and x.p <= 1.0 and _is_convex(y):
-        # for p <= 1 the coefficient mass sum |x_j| ||e_j|| is at most ||x||,
-        # so the ball sits inside the convex hull of the normalized atoms and
-        # a convex codomain norm peaks at one of them
-        # (not valid for the submeasure family: its set function is subadditive,
-        # which breaks the superadditivity of disjoint supports)
+    if x.p <= 1.0 and _is_convex(y):
+        # for p <= 1 the coefficient mass sum |x_j| ||e_j|| is at most ||x||
+        # (every family is a weighted lp norm), so the ball sits inside the
+        # convex hull of the normalized atoms and a convex codomain norm
+        # peaks at one of them
         j = int(np.argmax(atom_vals))
         wit = np.eye(n)[j] / lat.norm(x, np.eye(n)[j])
         return NormEstimate(atom_vals[j], atom_vals[j], {"x": wit.tolist()}, "vertex:atoms")
-    if x.family in ("lp", "wlp") and y.family in ("lp", "wlp") and x.p == 2.0 and y.p == 2.0:
+    if x.p == 2.0 and y.p == 2.0:
         # euclidean legs reduce to the largest singular value; weights fold
         # into diagonal rescalings on both sides
         wx, wy = x.w, y.w
@@ -130,7 +129,7 @@ def _op_norm_oracle(t: OperatorSpec, x: lat.LatticeSpec, y: lat.LatticeSpec) -> 
         wit = vh[0] / np.sqrt(wx)
         wit = wit / max(lat.norm(x, wit), 1e-300)
         return NormEstimate(val, val, {"x": wit.tolist()}, "spectral")
-    if x.family == "linf":
+    if math.isinf(x.p):
         if t.is_positive:
             # |T s| <= T 1 coordinatewise on the sup ball, any monotone codomain
             ones = np.ones(n)
@@ -147,12 +146,7 @@ def _op_norm_oracle(t: OperatorSpec, x: lat.LatticeSpec, y: lat.LatticeSpec) -> 
                 if val > best:
                     best, best_s = val, s
             return NormEstimate(best, best, {"x": best_s.tolist()}, "vertex:signs")
-    if (
-        t.is_diagonal
-        and x.family in ("lp", "linf")
-        and y.family in ("lp", "linf")
-        and y.p >= x.p
-    ):
+    if t.is_diagonal and x.weights is None and y.weights is None and y.p >= x.p:
         # unweighted nesting: the q-norm shrinks as q grows, so the largest
         # diagonal entry is both an upper bound and attained on its axis
         d = np.abs(np.diag(m))
@@ -166,26 +160,28 @@ def _op_norm_search(
 ) -> NormEstimate:
     m = t.matrix
     n = x.dim
+    sup_x, sup_y = np.arange(n), np.arange(y.dim)
 
-    def neg_ratio(v: np.ndarray) -> float:
-        nx = lat.norm(x, v)
-        if not math.isfinite(nx) or nx <= 1e-300:
-            return 0.0
-        return -lat.norm(y, m @ v) / nx
+    def neg_ratio(rows: np.ndarray) -> np.ndarray:
+        nx = lat.norm_rows(x, rows, sup_x)
+        ny = lat.norm_rows(y, rows @ m.T, sup_y)
+        return -np.divide(ny, nx, out=np.zeros_like(ny), where=nx > 1e-300)
 
     rngs = spawn_rngs(seed, max(1, starts))
     pts = [np.ones(n)] + [np.eye(n)[j] for j in range(min(n, 8))]
     while len(pts) < max(1, starts):
         pts.append(rngs[len(pts) % len(rngs)].normal(size=n))
-    res = multistart_minimize(neg_ratio, pts[: max(1, starts)], maxiter=iters)
-    best = -res.value
-    wit = res.point / max(lat.norm(x, res.point), 1e-300)
+    seeds = np.array([v / np.max(np.abs(v)) for v in pts[: max(1, starts)]])
+    point, value, scored = batched_search(
+        neg_ratio, seeds, lo=-1.0, hi=1.0, rows=16 * max(1, starts), keep=starts,
+        half=1.0, iters=iters, tol=1e-9, rng=np.random.default_rng(seed))
+    wit = point / max(lat.norm(x, point), 1e-300)
     return NormEstimate(
-        best,
+        -value,
         math.inf,
         {"x": wit.tolist()},
         "search",
-        iterations=res.n_evals,
+        iterations=scored,
         flags=("no-upper-certificate",),
     )
 
@@ -203,10 +199,15 @@ def op_norm(
     """Operator quasi-norm of t as a map from x to y.
 
     Closed forms cover domains whose quasi-norm ball has usable vertex
-    structure (atomic for p <= 1, sign vertices for the sup norm, positive
-    matrices out of the sup norm, diagonal matrices between nested
-    unweighted spaces); everything else gets a multistart search lower
-    bound with an infinite upper side.
+    structure (atomic for p <= 1 into a convex codomain, sign vertices for
+    the sup norm, positive matrices out of the sup norm), euclidean legs
+    (the largest singular value) and diagonal matrices between nested
+    unweighted spaces. Everything else gets a search lower bound with an
+    infinite upper side: _optim.batched_search maximizes ||t v||_y/||v||_x
+    over the box [-1, 1]^n from the starts 1, the first eight e_j and seeded
+    normal draws (each scaled to max-abs 1), following all `starts` of them
+    as incumbents with 16 * starts rows per round and at most iters rounds
+    of each stage; iterations counts the rows scored.
     """
     _shape_check(t, x, y)
     # the search route's answer depends on its seed and effort; the oracle
@@ -231,25 +232,29 @@ def op_norm(
 
 
 def _power_sum(vals: np.ndarray, r: float) -> np.ndarray:
-    """Coordinatewise (sum_i |v_i|^r)^(1/r); r = inf means the pointwise sup."""
+    """(sum_i |v_i|^r)^(1/r) over the tuple axis -2; r = inf means the sup."""
     a = np.abs(vals)
     if math.isinf(r):
-        return np.max(a, axis=0)
+        return np.max(a, axis=-2)
     if r == 1.0:
-        return np.sum(a, axis=0)
-    return np.sum(a**r, axis=0) ** (1.0 / r)
+        return np.sum(a, axis=-2)
+    return np.sum(a**r, axis=-2) ** (1.0 / r)
 
 
 def tuple_ratio(
     t: OperatorSpec, x: lat.LatticeSpec, y: lat.LatticeSpec, xs, p: float, q: float
-) -> float:
-    """The (p,q) tuple quotient of one concrete tuple."""
-    arr = np.atleast_2d(np.asarray(xs, dtype=float))
-    den = lat.norm(x, _power_sum(arr, q))
-    if den <= 0.0:
-        return 0.0
-    num = lat.norm(y, _power_sum(arr @ t.matrix.T, p))
-    return num / den
+) -> float | np.ndarray:
+    """The (p,q) tuple quotient of a tuple (k, n), or of each tuple in a
+    stack (..., k, n); a single tuple (or a single vector) gives a float."""
+    arr = np.asarray(xs, dtype=float)
+    tuples = np.atleast_2d(arr)
+    if tuples.shape[-1] != x.dim:
+        raise DomainError(f"expected {x.dim} entries per vector, got {tuples.shape[-1]}")
+    stack = tuples.reshape(-1, *tuples.shape[-2:])
+    den = lat.norm_rows(x, _power_sum(stack, q), np.arange(x.dim))
+    num = lat.norm_rows(y, _power_sum(stack @ t.matrix.T, p), np.arange(y.dim))
+    ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    return float(ratio[0]) if arr.ndim <= 2 else ratio.reshape(arr.shape[:-2])
 
 
 def _check_rho_exponents(p: float, q: float) -> tuple[float, float]:
@@ -295,7 +300,11 @@ def rho_pq(
     The aggregate on the image side raises to the p-th power (sup for
     p = inf), the source side to the q-th power; the three supported
     patterns are finite/finite, finite/sup and sup/finite. The lower bound
-    maximizes the quotient over random and locally improved tuples; the
+    is the best quotient over the operator-norm witness and `tuples` seeded
+    random tuples, polished by _optim.batched_search: the best tuple, scaled
+    to max-abs 1 and flattened, is its one seed in the box [-1, 1]^(k n),
+    with `tuples` rows per round and at most iters rounds of each stage
+    (iters = 0 skips the polish); iterations counts the tuples scored. The
     upper side is certified only where a closed argument exists (diagonal
     matrices, and positive matrices in the sup/sum pattern).
     """
@@ -354,14 +363,14 @@ def rho_pq(
             best, best_xs = val, xs
     if best_xs is not None and iters > 0:
         shape = best_xs.shape
-
-        def neg(flat: np.ndarray) -> float:
-            return -tuple_ratio(t, x, y, flat.reshape(shape), p, q)
-
-        res = multistart_minimize(neg, [best_xs.ravel()], maxiter=iters)
-        evals += res.n_evals
-        if -res.value > best:
-            best, best_xs = -res.value, res.point.reshape(shape)
+        point, value, scored = batched_search(
+            lambda rows: -tuple_ratio(t, x, y, rows.reshape(-1, *shape), p, q),
+            (best_xs / np.max(np.abs(best_xs))).ravel(), lo=-1.0, hi=1.0,
+            rows=tuples, keep=1, half=1.0, iters=iters, tol=1e-9,
+            rng=np.random.default_rng(seed))
+        evals += scored
+        if -value > best:
+            best, best_xs = -value, point.reshape(shape)
 
     lower = max(best, cert_lower)
     upper = cert_upper

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clinterp import lattice as lat
 from clinterp import operators as ops
@@ -120,11 +122,11 @@ class TestOpNorm:
 
     def test_cache_key_holds_search_settings(self):
         # a cached search must not answer for another seed, start count or
-        # iteration budget
+        # iteration budget; iters=0 scores the start rows only
         m = np.array([[1.0, -2.0, 0.5], [3.0, 4.0, -1.0], [0.5, 1.0, 2.0]])
         x, y = lat.parse_lattice("lp:1.5:3"), lat.parse_lattice("lp:0.75:3")
         t = ops.OperatorSpec(m)
-        first = ops.op_norm(t, x, y, seed=1, starts=2, iters=20)
+        first = ops.op_norm(t, x, y, seed=1, starts=2, iters=0)
         second = ops.op_norm(t, x, y, seed=2, starts=8, iters=200)
         fresh = ops.op_norm(ops.OperatorSpec(m), x, y, seed=2, starts=8, iters=200)
         assert first.method == second.method == "search"
@@ -132,6 +134,41 @@ class TestOpNorm:
         assert second.lower == fresh.lower
         assert second.lower > first.lower
         assert ops.op_norm(t, x, y, seed=2, starts=8, iters=200) is second
+
+    def test_submeasure_domain_takes_atoms(self):
+        # the submeasure norm is the weighted lp norm with weights 1/n, so
+        # below p = 1 its ball sits in the hull of its normalized atoms
+        t = ops.OperatorSpec(np.array([[1.0, -2.0, 0.5], [3.0, 4.0, -1.0], [0.5, 1.0, 2.0]]))
+        y = lat.lp(2.0, 3)
+        est = ops.op_norm(t, lat.submeasure_lp(0.5, 3), y)
+        same = ops.op_norm(ops.OperatorSpec(t.matrix), lat.weighted_lp(0.5, 3, [1.0 / 3] * 3), y)
+        assert est.method == same.method == "vertex:atoms"
+        assert est.lower == est.upper == pytest.approx(same.upper, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_search_meets_atom_oracle(self, data):
+        # p <= 1 into a convex codomain: every e_j is a start row, so the
+        # search cannot fall below the atoms, which are the exact value
+        n = data.draw(st.integers(2, 5))
+        p = data.draw(st.sampled_from([0.5, 1.0]) | st.floats(0.3, 1.0))
+        if data.draw(st.booleans()):
+            x = lat.lp(p, n)
+        else:
+            x = lat.weighted_lp(p, n, data.draw(st.lists(st.floats(0.25, 4.0),
+                                                         min_size=n, max_size=n)))
+        q = data.draw(st.sampled_from([1.0, 2.0, math.inf]) | st.floats(1.0, 4.0))
+        y = lat.lp(q, n)
+        m = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n * n, max_size=n * n)))
+        t = ops.OperatorSpec(m.reshape(n, n))
+        if not np.any(t.matrix):
+            return
+        exact = ops.op_norm(t, x, y, method="oracle")
+        assert exact.method == "vertex:atoms"
+        starts = data.draw(st.integers(n + 1, 12))
+        found = ops.op_norm(t, x, y, method="search", seed=data.draw(st.integers(0, 2**16)),
+                            starts=starts, iters=30)
+        assert found.lower == pytest.approx(exact.upper, rel=1e-12, abs=0.0)
 
     def test_one_dimensional_domain_exact_any_family(self):
         t = ops.OperatorSpec(np.array([[2.0], [1.0]]))
@@ -207,6 +244,20 @@ class TestRhoPq:
             ops.rho_pq(t, x, x, 0.5, 1.0)
         with pytest.raises(DomainError):
             ops.rho_pq(t, x, x, 1.0, 0.9)
+
+    def test_tuple_ratio_takes_a_stack(self):
+        rng = np.random.default_rng(4)
+        t = ops.OperatorSpec(rng.normal(size=(3, 3)))
+        x, y = lat.lp(1.0, 3), lat.lp(0.5, 3)
+        stack = rng.normal(size=(2, 5, 2, 3))
+        stack[1, 2] = 0.0  # a zero tuple has quotient 0
+        got = ops.tuple_ratio(t, x, y, stack, math.inf, 1.0)
+        assert got.shape == (2, 5)
+        for i, j in np.ndindex(2, 5):
+            one = ops.tuple_ratio(t, x, y, stack[i, j], math.inf, 1.0)
+            assert isinstance(one, float)
+            assert got[i, j] == pytest.approx(one, rel=1e-13, abs=0.0)
+        assert got[1, 2] == 0.0
 
     def test_witness_reproduces_ratio(self):
         rng = np.random.default_rng(9)
