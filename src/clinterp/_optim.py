@@ -4,7 +4,8 @@ Every search in the package runs through batched_search, a box-constrained
 random search that scores whole blocks of rows in one call, so that seeding
 and tie-breaking behave identically everywhere: one generator fixes the
 draws and ties go to the earlier row. spawn_rngs serves the samplers that
-need one generator per sample.
+need one generator per sample, and cube_corners the exact enumerations over
+the corners of a cube.
 """
 
 from __future__ import annotations
@@ -82,6 +83,11 @@ def batched_search(
             break
         point, value = cand[j], float(vals[j])
     return point, value, scored
+
+
+def cube_corners(k: int) -> np.ndarray:
+    """The 2^k corners of [0, 1]^k as rows, bit i of the row index in column i."""
+    return (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(float)
 
 
 def bisect_largest(pred: Callable[[float], bool], lo: float, hi: float, *, tol: float = 1e-12) -> float:

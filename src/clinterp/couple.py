@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import lattice as lat
-from ._optim import batched_search
+from ._optim import batched_search, cube_corners
 from .errors import (
     DescriptorError,
     DomainError,
@@ -260,10 +260,7 @@ def sum_norm(c: Couple, x, *, seed: int = 0, starts: int = 32, iters: int = 200,
 def _split_seeds(k: int) -> np.ndarray:
     """s = 1/2 and the corners of [0, 1]^k (all 2^k while k <= 12, else s = 0
     and s = 1), the seed rows of every search over split fractions."""
-    if k <= 12:
-        corners = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(float)
-    else:
-        corners = np.stack([np.zeros(k), np.ones(k)])
+    corners = cube_corners(k) if k <= 12 else np.stack([np.zeros(k), np.ones(k)])
     return np.vstack([np.full(k, 0.5), corners])
 
 
@@ -312,40 +309,31 @@ def _power_oracle(c: Couple, f: InterpolationFunction, a: np.ndarray) -> NormEst
 
 def _plmax_oracle(c: Couple, f: InterpolationFunction, a: np.ndarray) -> NormEstimate | None:
     """Exact value for max(alpha s, beta t): each coordinate is served by one
-    leg, so minimize over the 2^s support assignments."""
+    leg, so minimize over the 2^s support assignments (cube corners, bit i
+    sending support coordinate i to the first leg)."""
     alpha, beta = f.params
     support = np.flatnonzero(a)
     if len(support) > 12:
         return None
-    best = math.inf
-    best_mask = 0
-    for mask in range(1 << len(support)):
-        x0 = np.zeros(c.dim)
-        x1 = np.zeros(c.dim)
-        for i, j in enumerate(support):
-            if mask >> i & 1:
-                x0[j] = a[j]
-            else:
-                x1[j] = a[j]
-        if alpha == 0.0 and np.any(x0 > 0):
-            continue
-        if beta == 0.0 and np.any(x1 > 0):
-            continue
-        lam0 = lat.norm(c.x0, x0) / alpha if np.any(x0 > 0) else 0.0
-        lam1 = lat.norm(c.x1, x1) / beta if np.any(x1 > 0) else 0.0
-        val = max(lam0, lam1)
-        if val < best:
-            best, best_mask = val, mask
+    masks = cube_corners(len(support))
+    a_sup = a[support]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a leg with a zero coefficient cannot serve any coordinate
+        lam0 = np.where(masks.any(axis=1),
+                        lat.norm_rows(c.x0, a_sup * masks, support) / alpha, 0.0)
+        lam1 = np.where((1.0 - masks).any(axis=1),
+                        lat.norm_rows(c.x1, a_sup * (1.0 - masks), support) / beta, 0.0)
+    vals = np.maximum(lam0, lam1)
+    i = int(np.argmin(vals))
+    best = float(vals[i])
     if not math.isfinite(best):
         return NormEstimate(math.inf, math.inf, {"reason": "degenerate piecewise-linear part"},
                             "oracle:plmax", flags=("infeasible",))
+    first = masks[i] > 0.0
     u = np.zeros(c.dim)
     v = np.zeros(c.dim)
-    for i, j in enumerate(support):
-        if best_mask >> i & 1:
-            u[j] = a[j] / (alpha * best)
-        else:
-            v[j] = a[j] / (beta * best)
+    u[support[first]] = a_sup[first] / (alpha * best)
+    v[support[~first]] = a_sup[~first] / (beta * best)
     return NormEstimate(best, best, {"u": u.tolist(), "v": v.tolist(), "lam": best},
                         "oracle:plmax")
 
@@ -366,6 +354,23 @@ def _invert_second_arg(f: InterpolationFunction, u: np.ndarray, c: np.ndarray) -
     return out
 
 
+def _bisect_levels(infeasible_at, n: int, lam_cap: float,
+                   steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect [0, lam_cap] for n rows at once on a monotone test that marks
+    the levels lam certified infeasible. After steps halvings every row's
+    (lo, hi) is lam_cap 2^-steps wide with lo marked and hi unmarked; rows
+    marked at lam_cap itself report (lam_cap, inf)."""
+    lo = np.zeros(n)
+    hi = np.full(n, lam_cap)
+    stuck = infeasible_at(hi)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        bad = infeasible_at(mid)
+        lo = np.where(bad, mid, lo)
+        hi = np.where(bad, hi, mid)
+    return np.where(stuck, lam_cap, lo), np.where(stuck, math.inf, hi)
+
+
 def _batched_inner_bracket(c: Couple, f: InterpolationFunction, a_sup: np.ndarray,
                            support: np.ndarray, us: np.ndarray, lam_cap: float,
                            steps: int = 24) -> tuple[np.ndarray, np.ndarray]:
@@ -373,27 +378,17 @@ def _batched_inner_bracket(c: Couple, f: InterpolationFunction, a_sup: np.ndarra
 
     For fixed u the smallest admissible second witness at level lam is the
     coordinatewise inversion of phi; its norm is monotone in lam, so a
-    bisection whose low end keeps the norm strictly above one certifies the
-    value from below and whose high end stays feasible certifies it from
-    above.  After the given number of halvings of [0, lam_cap] the bracket
-    is lam_cap 2^-steps wide.  Rows still infeasible at lam_cap report
+    bisection (_bisect_levels) whose low end keeps the norm strictly above
+    one certifies the value from below and whose high end stays feasible
+    certifies it from above.  Rows still infeasible at lam_cap report
     (lam_cap, inf).
     """
-    n = us.shape[0]
-    lo = np.zeros(n)
-    hi = np.full(n, lam_cap)
+    def infeasible_at(lam: np.ndarray) -> np.ndarray:
+        v = _invert_second_arg(f, us, a_sup[None, :] / np.where(lam > 0, lam, 1.0)[:, None])
+        return ~(lat.norm_rows(c.x1, v, support) <= 1.0 + 1e-12)  # nan is infeasible
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v = _invert_second_arg(f, us, a_sup[None, :] / lam_cap)
-        m = lat.norm_rows(c.x1, v, support)
-        stuck = ~(m <= 1.0 + 1e-12)  # catches nan as infeasible
-        for _ in range(steps):
-            mid = 0.5 * (lo + hi)
-            v = _invert_second_arg(f, us, a_sup[None, :] / np.where(mid > 0, mid, 1.0)[:, None])
-            m = lat.norm_rows(c.x1, v, support)
-            infeasible = ~(m <= 1.0 + 1e-12)
-            lo = np.where(infeasible, mid, lo)
-            hi = np.where(infeasible, hi, mid)
-    return np.where(stuck, lam_cap, lo), np.where(stuck, math.inf, hi)
+        return _bisect_levels(infeasible_at, us.shape[0], lam_cap, steps)
 
 
 def _dual_bound_ready(c: Couple, f: InterpolationFunction) -> bool:
@@ -436,7 +431,6 @@ def _batched_dual_lower(c: Couple, f: InterpolationFunction, a_sup: np.ndarray,
     alpha = q * beta
     # u0 / c_j, where (c/coef)^(1/theta) u^(-beta) = A c; inf without a floor
     split = (a_floor * coef ** (1.0 / th)) ** (-1.0 / beta) if a_floor > 0.0 else math.inf
-    n = los.shape[0]
 
     def infeasible_at(lam: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -472,15 +466,7 @@ def _batched_dual_lower(c: Couple, f: InterpolationFunction, a_sup: np.ndarray,
                 out |= lag > 1.0 + 1e-12
             return out
 
-    lo = np.zeros(n)
-    hi = np.full(n, lam_cap)
-    stuck = infeasible_at(np.full(n, lam_cap))
-    for _ in range(24):
-        mid = 0.5 * (lo + hi)
-        bad = infeasible_at(mid)
-        lo = np.where(bad, mid, lo)
-        hi = np.where(bad, hi, mid)
-    return np.where(stuck, lam_cap, lo)
+    return _bisect_levels(infeasible_at, los.shape[0], lam_cap, 24)[0]
 
 
 def _reduce_box_tops(spec: lat.LatticeSpec, los: np.ndarray, his: np.ndarray,
@@ -511,13 +497,14 @@ def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray,
     coordinate) already exceed tau, so the search domain is [floor, cap];
     boxes whose lower corner escapes the unit ball hold no witness at all.
     The returned value min(active bounds, settled bounds, tau) is therefore
-    a true lower bound for every feasible witness.  Where _dual_bound_ready
-    holds, each box bound is also raised to _batched_dual_lower.  The search
-    stops unconverged after _BOX_BUDGET boxes.
+    a true lower bound for every feasible witness.  The first leg has a
+    finite exponent: cl_norm bounds an l-infinity first leg at u = 1 from
+    its own bracket.  Where _dual_bound_ready holds, each box bound is also
+    raised to _batched_dual_lower.  The search stops unconverged after
+    _BOX_BUDGET boxes.
     """
     support = np.flatnonzero(a)
-    s = len(support)
-    if s == 0:
+    if support.size == 0:
         return 0.0, {"boxes": 0, "converged": True}
     if not math.isfinite(upper) or upper <= 0.0:
         return None
@@ -526,15 +513,6 @@ def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray,
     caps = 1.0 / np.stack([spec.w[support] ** (1.0 / spec.p) for spec in (c.x0, c.x1)])
     tau = upper * (1.0 - 4e-4)
     lam_cap = upper * (1.0 + 1e-9)
-    if c.x0.family == "linf":
-        # the ball has a largest element, so the outer infimum sits there
-        ones = np.ones((1, s))
-        lo_end, hi_end = _batched_inner_bracket(c, f, a_sup, support, ones, lam_cap)
-        info: dict = {"boxes": 1, "converged": True}
-        if math.isfinite(hi_end[0]):
-            v_row = _invert_second_arg(f, ones, a_sup[None, :] / hi_end[0])[0]
-            info["witness"] = {"u": ones[0], "v": v_row, "lam": float(hi_end[0])}
-        return min(float(lo_end[0]), upper), info
     # u_j below the floor cannot reach a_j/tau even with the largest
     # admissible partner coordinate, so such witnesses already exceed tau
     floor = _invert_second_arg(mirror(f), caps[1], a_sup / tau)
@@ -655,16 +633,19 @@ def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
     takes u = 1, the largest element of its ball. The final lam is bracketed to
     relative width tol and the witness is re-verified arithmetically. seed
     fixes the draws, so equal seeds give equal estimates; iterations counts
-    the rows scored. With certify_lower and at most four nonzero
-    coordinates, the branch-and-bound certificate supplies the lower bound
-    (flag "grid-certified"); otherwise the lower bound is 0
-    ("heuristic-lower"). Where the inverse of phi in its second argument is
-    one power piece (power, cappedpower and mirror(cappedpower), 0 < theta
-    < 1) on legs of finite exponent, each box is also bounded through the
-    Lagrangian dual of its inner problem, and the certificate usually closes
-    in one box. Other families (harmonic, sum, affinepower, hull, ...) rely
-    on box corners alone and may add "budget-exhausted": the box budget ran
-    out, which leaves the bound sound but looser.
+    the rows scored. With certify_lower, an l-infinity first leg takes the
+    lower bound from the low end of that final bracket at u = 1, which
+    attains the outer infimum, whatever the support size (flag
+    "grid-certified", grid info one box). Other couples with at most four
+    nonzero coordinates take it from the branch-and-bound certificate (flag
+    "grid-certified"); otherwise the lower bound is 0 ("heuristic-lower").
+    Where the inverse of phi in its second argument is one power piece
+    (power, cappedpower and mirror(cappedpower), 0 < theta < 1) on legs of
+    finite exponent, each box is also bounded through the Lagrangian dual of
+    its inner problem, and the certificate usually closes in one box. Other
+    families (harmonic, sum, affinepower, hull, ...) rely on box corners
+    alone and may add "budget-exhausted": the box budget ran out, which
+    leaves the bound sound but looser.
     """
     a = _absx(c, x)
     if not np.any(a > 0):
@@ -732,8 +713,9 @@ def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
     u_best /= lat.norm_rows(c.x0, u_best[None, :], support)[0]
     # the incumbent is feasible at cap; the margin keeps it so through rounding
     steps = max(24, math.ceil(-math.log2(tol)))
-    upper = float(_batched_inner_bracket(c, f, a_sup, support, u_best[None, :],
-                                         cap * (1.0 + 1e-9), steps)[1][0])
+    lo_end, hi_end = _batched_inner_bracket(c, f, a_sup, support, u_best[None, :],
+                                            cap * (1.0 + 1e-9), steps)
+    upper = float(hi_end[0])
     scored += 1
     if not math.isfinite(upper):
         raise SolverError("no feasible witness found", (cap, None))
@@ -749,7 +731,12 @@ def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
     if lat.norm(c.x0, u) > 1.0 + 1e-12 or lat.norm(c.x1, v) > 1.0 + 1e-12:
         raise SolverError("witness escaped the unit balls", (upper, None))
 
-    grid = _grid_lower(c, f, a, upper) if certify_lower and s <= 4 else None
+    if certify_lower and linf:
+        # u = 1 attains the outer infimum, so the low end of its bracket is
+        # a certified lower bound whatever the support size
+        grid = float(lo_end[0]), {"boxes": 1, "converged": True}
+    else:
+        grid = _grid_lower(c, f, a, upper) if certify_lower and s <= 4 else None
     if grid is not None:
         lower, grid_info = grid
         cand = grid_info.pop("witness", None)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import lattice as lat
 from . import pathology as pat
-from ._optim import batched_search, spawn_rngs
+from ._optim import batched_search, cube_corners, spawn_rngs
 from .couple import Couple, NormEstimate, cl_norm, sum_norm
 from .errors import (
     DescriptorError,
@@ -98,6 +98,12 @@ def _is_convex(spec: lat.LatticeSpec) -> bool:
     return spec.p >= 1.0
 
 
+def _sign_vertices(k: int) -> np.ndarray:
+    """The 2^(k-1) sign vectors in {-1, 1}^k with first sign +1 (a and -a
+    have equal norms), bit i of the row index flipping sign i + 1."""
+    return np.hstack([np.ones((1 << (k - 1), 1)), 1.0 - 2.0 * cube_corners(k - 1)])
+
+
 def _op_norm_oracle(t: OperatorSpec, x: lat.LatticeSpec, y: lat.LatticeSpec) -> NormEstimate | None:
     m = t.matrix
     n = x.dim
@@ -136,16 +142,11 @@ def _op_norm_oracle(t: OperatorSpec, x: lat.LatticeSpec, y: lat.LatticeSpec) -> 
             val = lat.norm(y, m @ ones)
             return NormEstimate(val, val, {"x": ones.tolist()}, "positive:ones")
         if _is_convex(y) and n <= 16:
-            best, best_s = -math.inf, None
-            for bits in range(2 ** (n - 1)):  # s and -s agree, pin the first sign
-                s = np.ones(n)
-                for i in range(n - 1):
-                    if bits >> i & 1:
-                        s[i + 1] = -1.0
-                val = lat.norm(y, m @ s)
-                if val > best:
-                    best, best_s = val, s
-            return NormEstimate(best, best, {"x": best_s.tolist()}, "vertex:signs")
+            signs = _sign_vertices(n)
+            vals = lat.norm_rows(y, signs @ m.T, np.arange(y.dim))
+            j = int(np.argmax(vals))
+            best = float(vals[j])
+            return NormEstimate(best, best, {"x": signs[j].tolist()}, "vertex:signs")
     if t.is_diagonal and x.weights is None and y.weights is None and y.p >= x.p:
         # unweighted nesting: the q-norm shrinks as q grows, so the largest
         # diagonal entry is both an upper bound and attained on its axis
@@ -395,29 +396,21 @@ def _signed_max(
 
     Convex norms peak at sign vertices, so enumerating them is exact for
     small tuples; otherwise sampled vertices and interior points only bound
-    the inner maximum from below.
+    the inner maximum from below. One norm_rows call scores every candidate,
+    and the first best one wins.
     """
     k = xs.shape[0]
-    cands: list[np.ndarray] = []
     if exact and k <= 12:
-        for bits in range(2 ** (k - 1)):  # a and -a agree, pin the first sign
-            a = np.ones(k)
-            for i in range(k - 1):
-                if bits >> i & 1:
-                    a[i + 1] = -1.0
-            cands.append(a)
+        cands = _sign_vertices(k)
         tag = "vertex-enumeration"
     else:
-        cands.extend(np.eye(k))  # singleton rows evaluate member norms exactly
-        cands.extend(rng.integers(0, 2, size=(samples, k)) * 2.0 - 1.0)
-        cands.extend(rng.uniform(-1.0, 1.0, size=(samples // 2, k)))
+        # singleton rows evaluate member norms exactly
+        cands = np.vstack([np.eye(k), rng.integers(0, 2, size=(samples, k)) * 2.0 - 1.0,
+                           rng.uniform(-1.0, 1.0, size=(samples // 2, k))])
         tag = "sampled"
-    best, best_a = -1.0, cands[0]
-    for a in cands:
-        val = lat.norm(x, a @ xs)
-        if val > best:
-            best, best_a = val, a
-    return best, np.asarray(best_a), tag
+    vals = lat.norm_rows(x, cands @ xs, np.arange(x.dim))
+    i = int(np.argmax(vals))
+    return float(vals[i]), cands[i], tag
 
 
 def k_tuple_ratio(x: lat.LatticeSpec, xs, *, seed: int = 0) -> dict:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 from scipy.optimize import brentq
@@ -73,35 +73,18 @@ def _phi1_raw(f: InterpolationFunction, t: np.ndarray) -> np.ndarray:
         return coef * t**theta
     if fam == "min":
         return np.minimum(1.0, t)
-    if fam == "max":
-        return np.maximum(1.0, t)
-    if fam == "sum":
-        return 1.0 + t
     if fam == "harmonic":
         return t / (1.0 + t)
     if fam == "affinepower":
         a, b, theta = f.params
         return a + b * t**theta
-    if fam == "plmax":
-        a, b = f.params
-        return np.maximum(a, b * t)
-    if fam == "plmin":
-        a, b = f.params
-        return np.minimum(a, b * t)
     if fam == "cappedpower":
         (theta,) = f.params
         return np.minimum(1.0, t**theta)
-    if fam == "zero":
-        return np.zeros_like(t)
-    if fam == "tabulated":
-        ts, ys, _ = f.params
-        ta = np.asarray(ts)
-        ya = np.asarray(ys)
-        return np.max(ya[None, :] * np.minimum(1.0, t[:, None] / ta[None, :]), axis=1)
-    if fam == "hull":
-        ts, ys = f.params
-        # piecewise linear through the knots, constant after the last one
-        return np.interp(t, ts, ys)
+    form = _pl_form(f)
+    if form is not None:
+        ts, ys, tail = form
+        return np.interp(t, ts, ys) + tail * np.maximum(t - ts[-1], 0.0)
     if fam == "mirror":
         (g,) = f.params
         return t * phi1(g, 1.0 / t)
@@ -112,9 +95,11 @@ def _pl_form(f: InterpolationFunction) -> tuple[np.ndarray, np.ndarray, float] |
     """phi1 of a piecewise-linear family as (knots, values, tail slope), or None.
 
     The knots start at 0 and the values are nondecreasing; phi1 interpolates
-    them linearly and continues past the last knot with the tail slope. On a
-    segment phi1(s) = alpha + beta s the mirror is t phi1(1/t) = alpha t + beta,
-    so the mirror of a form is the form with knots 1/t_k, values y_k/t_k and
+    them linearly and continues past the last knot with the tail slope. Both
+    _phi1_raw and invert_phi read max, sum, plmax, plmin, hull, tabulated,
+    zero and their mirrors from this one form. On a segment
+    phi1(s) = alpha + beta s the mirror is t phi1(1/t) = alpha t + beta, so
+    the mirror of a form is the form with knots 1/t_k, values y_k/t_k and
     tail slope y_0, led by the knot 0 with the old tail slope as its value.
     """
     fam, params = f.family, f.params
@@ -626,22 +611,6 @@ def _grow_invert(g, target: float, lo: float, value_side: bool) -> float | None:
     return _solve(fn, target, lo, hi)
 
 
-def _shrink_invert(g, target: float, hi: float, value_side: bool) -> float | None:
-    """Solve phi1(t) = target or phi1(t)/t = target downward from hi."""
-    fn = (lambda t: float(phi1(g, t))) if value_side else (lambda t: float(phi1(g, t)) / t)
-    lo = hi / 2.0
-    ok = (lambda v: v <= target) if value_side else (lambda v: v >= target)
-    for _ in range(600):
-        if ok(fn(lo)):
-            break
-        lo /= 4.0
-        if lo < 1e-280:
-            return None
-    else:
-        raise SolverError("bracket shrink failed", (lo, hi))
-    return _solve(fn, target, lo, hi)
-
-
 def _solve(fn, target: float, lo: float, hi: float) -> float:
     # nodes span hundreds of decades, so only relative tolerance may govern:
     # the default absolute xtol would wreck roots far below unit scale
@@ -649,87 +618,60 @@ def _solve(fn, target: float, lo: float, hi: float) -> float:
                         xtol=1e-300, rtol=8.9e-16, maxiter=600))
 
 
-def _march(g: InterpolationFunction, q: float, qp: float, depth: int) -> dict:
-    """March nodes outward from t_1 = 1 by the defining value/slope recurrences."""
-    a, b = g.phi1_at_zero, g.phi1_sup
-    c, d = g.slope_sup, g.slope_at_infinity
-    nodes: dict[int, float] = {1: 1.0}
+def _march_up(g: InterpolationFunction, qp: float, depth: int) -> tuple[list, str]:
+    """Nodes t_1 = 1, t_2, t_3, ... marched upward, and how the march ended.
 
-    k = 0
-    top_kind = None
+    From the center t_{2k+1} the node t_{2k+2} solves phi1(t) = q' phi1(t_{2k+1})
+    and the next center solves phi1(t)/t = phi1(t_{2k+2})/(q' t_{2k+2}). The
+    march ends "endpoint" when the value target reaches phi1_sup (the last
+    node is +inf), "exhausted" when the slope target reaches
+    slope_at_infinity or no center exists, and "truncated" after 2 depth - 1
+    nodes past t_1.
+    """
+    nodes = [1.0]
     while True:
-        ck = nodes[2 * k + 1]
-        vt = qp * float(phi1(g, ck))
-        if vt >= b * (1.0 - _REL):
-            nodes[2 * k + 2] = _INF
-            top_kind = "endpoint"
-            break
-        t_up = _grow_invert(g, vt, ck, value_side=True)
+        vt = qp * float(phi1(g, nodes[-1]))
+        t_up = (None if vt >= g.phi1_sup * (1.0 - _REL)
+                else _grow_invert(g, vt, nodes[-1], value_side=True))
         if t_up is None:
-            nodes[2 * k + 2] = _INF
-            top_kind = "endpoint"
-            break
-        nodes[2 * k + 2] = t_up
+            return nodes + [_INF], "endpoint"
+        nodes.append(t_up)
         st = (float(phi1(g, t_up)) / t_up) / qp
-        if st <= d * (1.0 + _REL):
-            top_kind = "exhausted"
-            break
-        if k + 1 >= depth:
-            top_kind = "truncated"
-            break
+        if st <= g.slope_at_infinity * (1.0 + _REL):
+            return nodes, "exhausted"
+        if len(nodes) >= 2 * depth:
+            return nodes, "truncated"
         t_center = _grow_invert(g, st, t_up, value_side=False)
         if t_center is None:
-            top_kind = "exhausted"
-            break
-        nodes[2 * k + 3] = t_center
-        k += 1
-    k_max = k
-
-    k = 0
-    bottom_kind = None
-    while True:
-        ck = nodes[2 * k + 1]
-        st = qp * (float(phi1(g, ck)) / ck)
-        if st >= c * (1.0 - _REL):
-            nodes[2 * k] = 0.0
-            bottom_kind = "endpoint"
-            break
-        t_dn = _shrink_invert(g, st, ck, value_side=False)
-        if t_dn is None:
-            nodes[2 * k] = 0.0
-            bottom_kind = "endpoint"
-            break
-        nodes[2 * k] = t_dn
-        vt = float(phi1(g, t_dn)) / qp
-        if vt <= a * (1.0 + _REL):
-            bottom_kind = "exhausted"
-            break
-        if k - 1 <= -depth:
-            bottom_kind = "truncated"
-            break
-        t_center = _shrink_invert(g, vt, t_dn, value_side=True)
-        if t_center is None:
-            bottom_kind = "exhausted"
-            break
-        nodes[2 * k - 1] = t_center
-        k -= 1
-    k_min = k
-
-    return {"nodes": nodes, "k_min": k_min, "k_max": k_max,
-            "bottom_kind": bottom_kind, "top_kind": top_kind}
+            return nodes, "exhausted"
+        nodes.append(t_center)
 
 
-def _slacks(g: InterpolationFunction, q: float, march: dict) -> list[float]:
-    nodes = march["nodes"]
+def _march(g: InterpolationFunction, qp: float, depth: int) -> tuple[list, int, str, str]:
+    """March nodes outward from t_1 = 1 on both sides of it.
+
+    The bottom side is the top side of the mirror. phi~1(t) = t phi1(1/t)
+    turns the value recurrence into the slope recurrence and back, and swaps
+    phi1_sup with slope_sup and phi1_at_zero with slope_at_infinity, so node
+    j <= 0 of g is 1/(node 2 - j of mirror(g)) and the bottom side ends in
+    the kind of the mirror's march. Returns the nodes t_{2 k_min} ..
+    t_{2 k_max + 2}, k_min, and the bottom and top kinds.
+    """
+    top, top_kind = _march_up(g, qp, depth)
+    low, bottom_kind = _march_up(mirror(g), qp, depth)
+    return [1.0 / t for t in low[:0:-1]] + top, 1 - len(low) // 2, bottom_kind, top_kind
+
+
+def _slacks(g: InterpolationFunction, q: float, nodes: list) -> list[float]:
     out = []
-    for k in range(march["k_min"], march["k_max"] + 1):
-        t_lo, ck, t_hi = nodes[2 * k], nodes[2 * k + 1], nodes[2 * k + 2]
+    for i in range(0, len(nodes) - 2, 2):  # interval k has its lower node at i
+        t_lo, ck, t_hi = nodes[i], nodes[i + 1], nodes[i + 2]
         if t_lo == 0.0:
             out.append(0.0)  # marker interval keeps eps = 0
             continue
-        gap_below = t_lo - nodes[2 * k - 1] if (2 * k - 1) in nodes else t_lo
-        if (2 * k + 3) in nodes:
-            gap_above = nodes[2 * k + 3] - t_hi
+        gap_below = t_lo - nodes[i - 1] if i > 0 else t_lo
+        if i + 3 < len(nodes):
+            gap_above = nodes[i + 3] - t_hi
         else:
             gap_above = t_hi if math.isfinite(t_hi) else _INF
         cap = 0.5 * min(gap_below, gap_above, t_lo)
@@ -753,15 +695,15 @@ def _sum_ratio(d: BKDecomposition, g: InterpolationFunction, t: np.ndarray) -> n
     """sum_k phi1(c_k) min(1, t/c_k) over phi1(t), with s = 1 by homogeneity."""
     cs = d.centers()
     vals = np.atleast_1d(phi1(g, cs))
-    s = np.minimum(1.0, t[:, None] / cs[None, :]) @ vals
+    with np.errstate(over="ignore"):  # t/c_k past the float range still caps at 1
+        s = np.minimum(1.0, t[:, None] / cs[None, :]) @ vals
     return s / np.atleast_1d(phi1(g, t))
 
 
-def _probe_grid(march: dict, q: float) -> np.ndarray:
-    finite = sorted(v for v in march["nodes"].values() if 0.0 < v < _INF)
-    lo, hi = finite[0] / q**2, finite[-1] * q**2
-    pts = [np.asarray(finite), np.sqrt(np.asarray(finite[:-1]) * np.asarray(finite[1:])),
-           np.geomspace(lo, hi, 257)]
+def _probe_grid(nodes: list, q: float) -> np.ndarray:
+    finite = np.asarray([v for v in nodes if 0.0 < v < _INF])  # ascending
+    pts = [finite, np.sqrt(finite[:-1]) * np.sqrt(finite[1:]),  # no overflow or underflow
+           np.geomspace(finite[0] / q**2, finite[-1] * q**2, 257)]
     return np.unique(np.concatenate(pts))
 
 
@@ -773,7 +715,9 @@ def bk_decompose(f: InterpolationFunction, q: float, depth: int = 8) -> BKDecomp
     (alpha = 1/2 only suffices at theta = 1/2), and for other families alpha
     climbs a fixed ladder until an internal dense check of the sum bound
     passes. Non-concave phi1 is replaced by its least concave majorant first;
-    the result records both functions and their gap.
+    the result records both functions and their gap. One upward march serves
+    both sides through the mirror: node j <= 0 is 1/(node 2 - j of the
+    decomposition of mirror(f)), with the bottom and top kinds swapped.
     """
     if q <= 1.0:
         raise DomainError("q must exceed 1")
@@ -800,8 +744,8 @@ def bk_decompose(f: InterpolationFunction, q: float, depth: int = 8) -> BKDecomp
         if not 1.0 < qp < q:
             continue
         try:
-            m = _march(g, q, qp, depth)
-            slacks = _slacks(g, q, m)
+            nodes, k_min, bottom_kind, top_kind = _march(g, qp, depth)
+            slacks = _slacks(g, q, nodes)
         except SolverError as exc:
             last_err = exc
             continue
@@ -810,17 +754,16 @@ def bk_decompose(f: InterpolationFunction, q: float, depth: int = 8) -> BKDecomp
         else:
             tg = np.geomspace(1e-6, 1e6, 241)
             gap = float(np.max(np.atleast_1d(phi1(g, tg)) / np.atleast_1d(phi1(f, tg))))
+        k_max = k_min + len(nodes) // 2 - 1
         d = BKDecomposition(
             q=float(q), q_prime=float(qp), alpha=float(alpha), depth=int(depth),
-            k_min=m["k_min"], k_max=m["k_max"],
-            nodes=tuple(m["nodes"][j] for j in range(2 * m["k_min"], 2 * m["k_max"] + 3)),
-            slacks=tuple(slacks),
-            bottom_kind=m["bottom_kind"], top_kind=m["top_kind"],
-            M=(-m["k_min"] if m["bottom_kind"] == "endpoint" else None),
-            N=(m["k_max"] + 1 if m["top_kind"] == "endpoint" else None),
+            k_min=k_min, k_max=k_max, nodes=tuple(nodes), slacks=tuple(slacks),
+            bottom_kind=bottom_kind, top_kind=top_kind,
+            M=(-k_min if bottom_kind == "endpoint" else None),
+            N=(k_max + 1 if top_kind == "endpoint" else None),
             function=g, original=f, majorant_gap=gap,
         )
-        ratios = _sum_ratio(d, g, _probe_grid(m, q))
+        ratios = _sum_ratio(d, g, _probe_grid(nodes, q))
         if float(np.max(ratios)) <= bound * (1.0 + 1e-10):
             return d
     raise VerificationError(

@@ -319,6 +319,18 @@ class TestClNormOptimizer:
         assert est.upper >= 4.1 * (1.0 - 1e-12)
         assert est.witness["u"] == [1.0] * 4
 
+    def test_linf_first_leg_certified_beyond_four_coordinates(self):
+        # u = 1 attains the outer infimum, so the low end of its final bracket
+        # is a certified lower bound for any support size
+        c = cp.parse_couple("linf:6|lp:2:6")
+        x = np.random.default_rng(3).uniform(0.1, 2.0, 6)
+        oracle = cp.cl_norm(c, POWER_HALF, x, method="oracle").upper
+        est = cp.cl_norm(c, POWER_HALF, x, method="optimize")
+        assert est.flags == ("grid-certified",)
+        assert est.witness["grid"] == {"boxes": 1, "converged": True}
+        assert 0.0 < est.lower <= oracle <= est.upper
+        assert est.upper - est.lower <= 1e-8 * est.upper
+
     def test_budget_exhausted_flag(self):
         # sum's inverse is piecewise linear, not one power piece, so it has no
         # dual bound and this certificate spends the whole box budget; its

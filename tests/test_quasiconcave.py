@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clinterp.errors import (
     DescriptorError,
@@ -16,6 +18,7 @@ from clinterp.quasiconcave import (
     eval_phi,
     harmonic,
     has_vanishing_limits,
+    hull_function,
     is_doubly_bounded,
     max_function,
     min_function,
@@ -421,3 +424,88 @@ class TestDecomposition:
             bk_decompose(power(0.5), 4.0), power(0.5), np.geomspace(0.01, 100, 41)
         )["sum_bound"]["max_ratio"]
         assert r16 < r4 <= 5.0 / 3.0 + 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mirror_decomposition_is_reflected(self, data):
+        # node j of the mirror's decomposition is 1/node(2 - j) of the
+        # function's, with the kinds swapped
+        pos = st.floats(0.1, 10.0)
+        kind = data.draw(st.sampled_from(
+            ["power", "min", "max", "sum", "harmonic", "affinepower", "cappedpower",
+             "plmax", "plmin", "tabulated", "hull"]))
+        if kind == "power":
+            f = power(data.draw(st.floats(0.01, 0.99)), data.draw(pos))
+        elif kind == "affinepower":
+            f = affine_power(data.draw(pos), data.draw(pos), data.draw(st.floats(0.05, 1.0)))
+        elif kind == "cappedpower":
+            f = capped_power(data.draw(st.floats(0.05, 1.0)))
+        elif kind in ("plmax", "plmin"):
+            f = (pl_max if kind == "plmax" else pl_min)(data.draw(pos), data.draw(pos))
+        elif kind == "tabulated":
+            ts = np.cumsum(data.draw(st.lists(pos, min_size=2, max_size=6)))
+            f = tabulated(ts, data.draw(st.lists(pos, min_size=len(ts), max_size=len(ts))))
+        elif kind == "hull":
+            steps = data.draw(st.lists(pos, min_size=1, max_size=5))
+            slopes = sorted(data.draw(st.lists(pos, min_size=len(steps), max_size=len(steps))),
+                            reverse=True)
+            ts = np.concatenate(([0.0], np.cumsum(steps)))
+            y0 = data.draw(st.just(0.0) | pos)
+            f = hull_function(ts, np.concatenate(([y0], y0 + np.cumsum(np.multiply(steps, slopes)))))
+        else:
+            f = {"min": min_function, "max": max_function, "sum": sum_function,
+                 "harmonic": harmonic}[kind]()
+        q = data.draw(st.sampled_from([2.0, 3.0, 4.0, 9.0, 16.0]))
+        depth = data.draw(st.integers(1, 10))
+        d = bk_decompose(f, q, depth)
+        m = bk_decompose(mirror(f), q, depth)
+        assert m.alpha == d.alpha
+        assert (m.k_min, m.k_max) == (-d.k_max, -d.k_min)
+        assert (m.bottom_kind, m.top_kind) == (d.top_kind, d.bottom_kind)
+        for j in range(2 * m.k_min, 2 * m.k_max + 3):
+            t, mirrored = m.node(j), d.node(2 - j)
+            ref = math.inf if mirrored == 0.0 else 1.0 / mirrored
+            assert t == ref or abs(t - ref) <= 1e-12 * ref, (j, t, ref)
+        # and both sides of d follow the defining recurrences and the depth
+        g, qp = d.function, d.q_prime
+        for k in range(d.k_min, d.k_max + 1):
+            ck, t_lo, t_hi = d.center(k), d.node(2 * k), d.node(2 * k + 2)
+            if math.isfinite(t_hi):
+                assert phi1(g, t_hi) == pytest.approx(qp * phi1(g, ck), rel=1e-10)
+            if t_lo > 0.0:
+                assert slope(g, t_lo) == pytest.approx(qp * slope(g, ck), rel=1e-10)
+        assert d.top_kind != "truncated" or d.k_max == depth - 1
+        assert d.bottom_kind != "truncated" or d.k_min == 1 - depth
+
+
+_TAB_T, _TAB_Y = [0.1, 0.5, 1.0, 3.0, 10.0], [0.05, 0.4, 0.6, 1.5, 2.0]
+_HULL_T, _HULL_Y = [0.0, 0.5, 2.0, 8.0], [0.5, 1.0, 1.6, 1.8]
+# a log grid plus every knot below, where rounding in the form is most exposed
+T_GRID = np.unique(np.concatenate((np.geomspace(1e-8, 1e8, 2001), _TAB_T, _HULL_T[1:],
+                                   [6.0, 12.0])))
+PIECEWISE_LINEAR = [
+    (max_function(), lambda t: np.maximum(1.0, t)),
+    (sum_function(), lambda t: 1.0 + t),
+    (pl_max(1.5, 0.25), lambda t: np.maximum(1.5, 0.25 * t)),
+    (pl_max(0.0, 3.0), lambda t: 3.0 * t),
+    (pl_max(2.0, 0.0), lambda t: np.full_like(t, 2.0)),
+    (pl_min(3.0, 0.25), lambda t: np.minimum(3.0, 0.25 * t)),
+    (tabulated(_TAB_T, _TAB_Y),
+     lambda t: np.max(np.multiply(_TAB_Y, np.minimum(1.0, t[:, None] / _TAB_T)), axis=1)),
+    (hull_function(_HULL_T, _HULL_Y), lambda t: np.interp(t, _HULL_T, _HULL_Y)),
+    (zero_function(), np.zeros_like),
+]
+
+
+class TestPiecewiseLinearForm:
+    @pytest.mark.parametrize("f, formula", PIECEWISE_LINEAR,
+                             ids=[f.family for f, _ in PIECEWISE_LINEAR])
+    def test_phi1_matches_defining_formula(self, f, formula):
+        ref = formula(T_GRID)
+        assert np.all(np.abs(phi1(f, T_GRID) - ref) <= 1e-15 * ref)
+
+    @pytest.mark.parametrize("f", [f for f, _ in PIECEWISE_LINEAR],
+                             ids=[f.family for f, _ in PIECEWISE_LINEAR])
+    def test_mirror_is_the_reflected_form(self, f):
+        ref = T_GRID * phi1(f, 1.0 / T_GRID)
+        assert np.all(np.abs(phi1(mirror(f), T_GRID) - ref) <= 1e-15 * ref)
