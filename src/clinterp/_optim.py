@@ -3,9 +3,10 @@
 Every search in the package runs through batched_search, a box-constrained
 random search that scores whole blocks of rows in one call, so that seeding
 and tie-breaking behave identically everywhere: one generator fixes the
-draws and ties go to the earlier row. spawn_rngs serves the samplers that
-need one generator per sample, and cube_corners the exact enumerations over
-the corners of a cube.
+draws and ties go to the earlier row. interval_minimize serves the
+one-dimensional minimizations, many intervals per call on a shrinking grid.
+spawn_rngs serves the samplers that need one generator per sample, and
+cube_corners the exact enumerations over the corners of a cube.
 """
 
 from __future__ import annotations
@@ -83,6 +84,51 @@ def batched_search(
             break
         point, value = cand[j], float(vals[j])
     return point, value, scored
+
+
+def interval_minimize(
+    score: Callable[[np.ndarray], np.ndarray],
+    lo,
+    hi,
+    *,
+    xatol: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize score, which maps a 1-D array of points to their values, on
+    each of the intervals [lo_i, hi_i] at once.
+
+    Every round scores 33 evenly spaced points on every interval, both ends
+    included, in one call, then shrinks each interval to the two grid cells
+    around its best point. Those cells hold the minimizer of a unimodal
+    function, and the first grid is a presample for one that is not. Rounds
+    end once the cells around every best point span at most xatol. Each
+    interval keeps the best point it has scored; ties keep the earlier one.
+    Returns the best point and value per interval.
+    """
+    points = 33
+    lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
+                                 np.atleast_1d(np.asarray(hi, dtype=float)))
+    lo, hi = lo.copy(), hi.copy()
+    m = lo.shape[0]
+    frac = np.linspace(0.0, 1.0, points)
+    rows = np.arange(m)
+    best_t = lo.copy()
+    best = np.full(m, math.inf)
+    last = math.inf
+    while True:
+        grid = lo[:, None] + (hi - lo)[:, None] * frac
+        grid[:, -1] = hi
+        vals = score(grid.ravel()).reshape(m, points)
+        j = np.argmin(vals, axis=1)
+        won = vals[rows, j] < best
+        best_t[won] = grid[won, j[won]]
+        best[won] = vals[won, j[won]]
+        width = float(np.max(hi - lo))
+        # the second test ends a round that rounding kept from shrinking
+        if not (2.0 * width / (points - 1) > xatol and width < last):
+            return best_t, best
+        last = width
+        lo = grid[rows, np.maximum(j - 1, 0)]
+        hi = grid[rows, np.minimum(j + 1, points - 1)]
 
 
 def cube_corners(k: int) -> np.ndarray:

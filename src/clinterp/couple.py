@@ -20,10 +20,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import lattice as lat
-from ._optim import batched_search, cube_corners
+from ._optim import batched_search, cube_corners, interval_minimize
 from .errors import (
     DescriptorError,
     DomainError,
@@ -104,69 +103,78 @@ def _relaxed_leg(spec: lat.LatticeSpec) -> lat.LatticeSpec:
     return lat.weighted_lp(1.0, spec.dim, (spec.w ** (1.0 / spec.p)).tolist())
 
 
-def _sum_with_linf(c: Couple, a: np.ndarray, inf_leg: int) -> tuple[float, np.ndarray]:
-    """Exact sum norm when one leg is l-infinity.
+def _sum_with_linf(other: lat.LatticeSpec, a: np.ndarray) -> tuple[float, np.ndarray]:
+    """Exact sum norm when one leg is l-infinity, and the l-infinity part.
 
-    Any split with ||x1||_inf = t is dominated by the capped split
-    x1 = |x| ^ t, so the problem is the one-dimensional minimization of
-    h(t) = ||(|x|-t)+||_other + t over t in [0, max|x|].
+    Any split whose l-infinity part has norm t is dominated by the capped
+    split with l-infinity part |x| ^ t, so the problem is the
+    one-dimensional minimization of h(t) = ||(|x|-t)+||_other + t over
+    t in [0, max|x|]. One
+    _optim.interval_minimize call scans every segment between consecutive
+    values of |x| at once; its first 33-point grid per segment is a
+    presample, since h need not be unimodal on a segment when the other leg
+    is only a quasi-norm. Ties go to the earlier segment.
     """
-    other = c.x0 if inf_leg == 1 else c.x1
+    support = np.arange(other.dim)
 
-    def h(t: float) -> float:
-        return lat.norm(other, np.maximum(a - t, 0.0)) + t
+    def h(t: np.ndarray) -> np.ndarray:
+        return lat.norm_rows(other, np.maximum(a[None, :] - t[:, None], 0.0), support) + t
 
     vmax = float(np.max(a))
-    pts = sorted(set([0.0, vmax] + [float(v) for v in a if 0.0 < v < vmax]))
-    best_t, best = 0.0, h(0.0)
-    for lo, hi in zip(pts, pts[1:]):
-        # presample: h need not be unimodal on a segment when the other leg
-        # is only a quasi-norm
-        for t_cand in np.linspace(lo, hi, 33):
-            val = h(float(t_cand))
-            if val < best:
-                best_t, best = float(t_cand), val
-        res = minimize_scalar(h, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-13 * max(1.0, vmax)})
-        for t_cand in (float(res.x), hi):
-            val = h(t_cand)
-            if val < best:
-                best_t, best = t_cand, val
-    x1 = np.minimum(a, best_t)
-    return best, a - x1
+    pts = np.unique(np.concatenate(([0.0, vmax], a[(a > 0.0) & (a < vmax)])))
+    ts, vals = interval_minimize(h, pts[:-1], pts[1:], xatol=1e-13 * max(1.0, vmax))
+    i = int(np.argmin(vals))
+    return float(vals[i]), np.minimum(a, ts[i])
 
 
 def _coordinate_descent(c: Couple, a: np.ndarray, x0: np.ndarray,
                         sweeps: int = 60) -> tuple[float, np.ndarray]:
     """Cyclic exact 1-D minimization of ||x0||_X0 + ||a-x0||_X1 over the box.
 
-    Sweeps run until one stops improving: an ill-conditioned valley is
-    crossed slowly, so a small gain per sweep does not mean the optimum is
-    near.
+    Each coordinate j of the support moves to the best point that
+    _optim.interval_minimize finds on [0, a_j], to within
+    1e-13 max(1, a_j), if that improves the value. Sweeps run until one
+    stops improving: an ill-conditioned valley is crossed slowly, so a small
+    gain per sweep does not mean the optimum is near.
     """
-    x0 = x0.copy()
-    current = lat.norm(c.x0, x0) + lat.norm(c.x1, a - x0)
+    support = np.flatnonzero(a)
+    a_sup = a[support]
+    s = x0[support].copy()
+
+    def split(rows: np.ndarray) -> np.ndarray:
+        return (lat.norm_rows(c.x0, rows, support)
+                + lat.norm_rows(c.x1, a_sup - rows, support))
+
+    current = float(split(s[None, :])[0])
     for _ in range(sweeps):
-        previous = current
-        for j in range(len(a)):
-            if a[j] == 0.0:
-                continue
+        previous, start = current, s.copy()
+        for j in range(len(support)):
+            def h(t: np.ndarray, j=j) -> np.ndarray:
+                rows = np.repeat(s[None, :], len(t), axis=0)
+                rows[:, j] = t
+                return split(rows)
 
-            def h(s: float, j=j) -> float:
-                old = x0[j]
-                x0[j] = s
-                val = lat.norm(c.x0, x0) + lat.norm(c.x1, a - x0)
-                x0[j] = old
-                return val
-
-            res = minimize_scalar(h, bounds=(0.0, float(a[j])), method="bounded",
-                                  options={"xatol": 1e-13 * max(1.0, float(a[j]))})
-            cand = min((h(0.0), 0.0), (h(float(a[j])), float(a[j])), (float(res.fun), float(res.x)))
-            if cand[0] < current:
-                x0[j] = cand[1]
-                current = cand[0]
+            t, val = interval_minimize(h, 0.0, a_sup[j], xatol=1e-13 * max(1.0, a_sup[j]))
+            if val[0] < current:
+                s[j] = t[0]
+                current = float(val[0])
+        # pattern move: a valley the sweeps zigzag along is followed by one
+        # line search along the sweep's displacement, up to the box's face
+        step = s - start
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(step > 0.0, (a_sup - s) / step, np.where(step < 0.0, -s / step, math.inf))
+        reach = float(np.min(room))
+        if 0.0 < reach < math.inf:
+            base = s.copy()
+            t, val = interval_minimize(lambda t: split(np.clip(base + t[:, None] * step, 0.0, a_sup)),
+                                          0.0, reach, xatol=1e-13 * max(1.0, reach))
+            if val[0] < current:
+                s = np.clip(base + t[0] * step, 0.0, a_sup)
+                current = float(val[0])
         if not current < previous:
             break
+    x0 = np.zeros(c.dim)
+    x0[support] = s
     return current, x0
 
 
@@ -188,9 +196,10 @@ def sum_norm(c: Couple, x, *, seed: int = 0, starts: int = 32, iters: int = 200,
     and at most iters rounds of each stage, and exact coordinate descent
     polishes the result. seed fixes the draws, so equal seeds give equal
     estimates; iterations counts the rows scored.
-    With both legs convex the lower bound is the polished value; below
-    p = 1 it is the lower bound of the same problem over the convex
-    minorant legs (flag "nonconvex").
+    On the "batched-search" and "linf-cap" routes with both legs convex the
+    lower bound is the duality bound of _dual_lower at the returned split;
+    below p = 1 it is the lower bound of the same problem over the convex
+    minorant legs (flag "nonconvex" on "batched-search").
     """
     a = _absx(c, x)
     if not np.any(a > 0):
@@ -210,15 +219,12 @@ def sum_norm(c: Couple, x, *, seed: int = 0, starts: int = 32, iters: int = 200,
         x0 = np.zeros(c.dim) if weak_is_x1 else a
         return NormEstimate(val, val, {"x0": x0.tolist()}, "nested-legs")
 
-    if c.x1.family == "linf":
-        val, x0 = _sum_with_linf(c, a, inf_leg=1)
-        lower = val if convex else min(_relaxation_lower(c, a), val)
-        return NormEstimate(lower, val, {"x0": x0.tolist()}, "linf-cap")
-    if c.x0.family == "linf":
-        swapped = Couple(c.x1, c.x0)
-        val, x1 = _sum_with_linf(swapped, a, inf_leg=1)
-        lower = val if convex else min(_relaxation_lower(c, a), val)
-        return NormEstimate(lower, val, {"x0": (a - x1).tolist()}, "linf-cap")
+    if "linf" in (c.x0.family, c.x1.family):
+        inf_is_x1 = c.x1.family == "linf"
+        val, capped = _sum_with_linf(c.x0 if inf_is_x1 else c.x1, a)
+        x0, x1 = (a - capped, capped) if inf_is_x1 else (capped, a - capped)
+        lower = _dual_lower(c, a, x0, x1) if convex else _relaxation_lower(c, a)
+        return NormEstimate(min(lower, val), val, {"x0": x0.tolist()}, "linf-cap")
 
     if convex and c.x0.p == c.x1.p and np.array_equal(c.x0.w, c.x1.w):
         # identical convex legs: the triangle inequality pins the value
@@ -250,10 +256,10 @@ def sum_norm(c: Couple, x, *, seed: int = 0, starts: int = 32, iters: int = 200,
     x0[support] = a_sup * s_best
     val, x0 = _coordinate_descent(c, a, x0)
     if convex:
-        lower, flags = val, ()
+        lower, flags = _dual_lower(c, a, x0, a - x0), ()
     else:
-        lower, flags = min(_relaxation_lower(c, a), val), ("nonconvex",)
-    return NormEstimate(lower, val, {"x0": x0.tolist()}, "batched-search",
+        lower, flags = _relaxation_lower(c, a), ("nonconvex",)
+    return NormEstimate(min(lower, val), val, {"x0": x0.tolist()}, "batched-search",
                         iterations=scored, flags=flags)
 
 
@@ -262,6 +268,48 @@ def _split_seeds(k: int) -> np.ndarray:
     and s = 1), the seed rows of every search over split fractions."""
     corners = cube_corners(k) if k <= 12 else np.stack([np.zeros(k), np.ones(k)])
     return np.vstack([np.full(k, 0.5), corners])
+
+
+def _subgradient(leg: lat.LatticeSpec, part: np.ndarray, other: lat.LatticeSpec) -> np.ndarray:
+    """A subgradient y >= 0 of a convex leg's norm at part != 0, of dual norm 1.
+
+    Where the norm is not differentiable the choice serves the other leg: p = 1
+    puts w_j on the support of part only, and l-infinity spreads y over the
+    maximal coordinates of part in proportion to the other leg's weights,
+    which makes the other leg's dual norm least.
+    """
+    if math.isinf(leg.p):
+        y = np.where(part == np.max(part), other.w, 0.0)
+        return y / np.sum(y)
+    if leg.p == 1.0:
+        return np.where(part > 0.0, leg.w, 0.0)
+    return leg.w * (part / lat.norm(leg, part)) ** (leg.p - 1.0)
+
+
+def _dual_lower(c: Couple, a: np.ndarray, x0: np.ndarray, x1: np.ndarray) -> float:
+    """A proved lower bound on the sum norm of a over two convex legs.
+
+    For every y >= 0 and every split a = x0 + x1, Holder on each leg gives
+    <a, y> <= (||x0||_X0 + ||x1||_X1) max(||y||_X0', ||y||_X1'), so the
+    ratio bounds the infimum from below (lattice.dual_norm). At an optimal
+    split the legs share a subgradient, which makes the bound exact. So y
+    runs over the segment between the legs' subgradients at their parts of
+    the given split (_subgradient), where the ratio is quasiconcave, and
+    _optim.interval_minimize finds its best point; the segment's ends are
+    the single-leg bounds. The result is shrunk by 2 (n + 4) machine
+    epsilons, which covers the rounding of the dot product, the powers and
+    the sums.
+    """
+    ys = [_subgradient(leg, part, other)
+          for leg, part, other in ((c.x0, x0, c.x1), (c.x1, x1, c.x0)) if np.any(part > 0.0)]
+    ends = np.stack(ys * (3 - len(ys)))  # one subgradient stands for both ends
+
+    def neg_bound(lam: np.ndarray) -> np.ndarray:
+        y = ends[0] + lam[:, None] * (ends[1] - ends[0])
+        return -(y @ a) / np.maximum(lat.dual_norm(c.x0, y), lat.dual_norm(c.x1, y))
+
+    _, vals = interval_minimize(neg_bound, 0.0, 1.0, xatol=1e-13)
+    return -float(vals[0]) * (1.0 - 2.0 * (c.dim + 4) * np.finfo(float).eps)
 
 
 def _relaxation_lower(c: Couple, a: np.ndarray) -> float:
@@ -307,11 +355,10 @@ def _power_oracle(c: Couple, f: InterpolationFunction, a: np.ndarray) -> NormEst
                         "oracle:power")
 
 
-def _plmax_oracle(c: Couple, f: InterpolationFunction, a: np.ndarray) -> NormEstimate | None:
+def _plmax_oracle(c: Couple, alpha: float, beta: float, a: np.ndarray) -> NormEstimate | None:
     """Exact value for max(alpha s, beta t): each coordinate is served by one
     leg, so minimize over the 2^s support assignments (cube corners, bit i
     sending support coordinate i to the first leg)."""
-    alpha, beta = f.params
     support = np.flatnonzero(a)
     if len(support) > 12:
         return None
@@ -619,7 +666,8 @@ def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
     """The interpolation quasi-norm of x for the function phi.
 
     method "oracle" demands a closed form (power family on lp-type legs, min,
-    piecewise-linear max, or an l-infinity pair), "optimize" forces the
+    max and piecewise-linear max on at most 12 nonzero coordinates, or an
+    l-infinity pair), "optimize" forces the
     search below, and "auto" prefers the oracle when one applies.
 
     The search runs over the first witness u alone: for fixed u the least
@@ -665,8 +713,10 @@ def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
     elif f.family == "power":
         oracle = _power_oracle(c, f, a)
     elif f.family == "plmax":
-        oracle = _plmax_oracle(c, f, a)
-    elif c.x0.family == "linf" and c.x1.family == "linf":
+        oracle = _plmax_oracle(c, *f.params, a)
+    elif f.family == "max":
+        oracle = _plmax_oracle(c, 1.0, 1.0, a)
+    if oracle is None and c.x0.family == "linf" and c.x1.family == "linf":
         lam = float(np.max(a)) / f.normalization
         ones = np.ones(c.dim)
         oracle = NormEstimate(lam, lam, {"u": ones.tolist(), "v": ones.tolist(), "lam": lam},

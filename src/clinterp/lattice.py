@@ -154,6 +154,23 @@ def norm_rows(space: LatticeSpec, rows: np.ndarray, support: np.ndarray) -> np.n
     return (a**space.p @ space.w[support]) ** (1.0 / space.p)
 
 
+def dual_norm(space: LatticeSpec, y: np.ndarray) -> np.ndarray:
+    """The dual norm sup{<x, y> : ||x|| <= 1} of a convex lattice (p >= 1)
+    along the last axis of y: (sum_j w_j^(1-p') |y_j|^p')^(1/p') with
+    1/p + 1/p' = 1, which is max_j |y_j|/w_j for p = 1 and sum_j |y_j| for
+    p = inf."""
+    if space.p < 1.0:
+        raise DomainError("the dual norm formula needs a convex lattice, p >= 1")
+    r = np.abs(y) / space.w
+    top = r.max(axis=-1)
+    if space.p == 1.0:
+        return top
+    q = 1.0 if math.isinf(space.p) else space.p / (space.p - 1.0)
+    # sum_j w_j r_j^q scaled by the largest ratio, so large q cannot overflow
+    scale = np.where(top > 0.0, top, 1.0)[..., None]
+    return top * ((r / scale) ** q @ space.w) ** (1.0 / q)
+
+
 def abs_vector(x: LatticeVector) -> LatticeVector:
     return LatticeVector(np.abs(x.entries), x.space)
 

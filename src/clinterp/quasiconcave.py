@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DescriptorError,
@@ -612,10 +611,63 @@ def _grow_invert(g, target: float, lo: float, value_side: bool) -> float | None:
 
 
 def _solve(fn, target: float, lo: float, hi: float) -> float:
-    # nodes span hundreds of decades, so only relative tolerance may govern:
-    # the default absolute xtol would wreck roots far below unit scale
-    return float(brentq(lambda t: fn(t) - target, lo, hi,
-                        xtol=1e-300, rtol=8.9e-16, maxiter=600))
+    """The t in [lo, hi] with fn(t) = target, for fn positive and monotone
+    there with fn - target changing sign between the ends.
+
+    Nodes span hundreds of decades, so the solve runs in log t and only a
+    relative tolerance governs. Each step is regula falsi on the residual
+    log fn(t) - log target against log t, exact in one step on a power
+    piece, with the Illinois rule: an end kept twice in a row has its
+    residual halved. Three steps that leave more than half the bracket
+    are followed by a bisection of log t. The solve stops once the bracket
+    is at most 8.9e-16 of its low end wide, brentq's relative tolerance,
+    and returns the end closer to the target.
+    """
+    def resid(t: float) -> tuple[float, float]:
+        # log1p of the relative gap keeps full precision next to the root
+        v = fn(t)
+        return v, (math.log1p((v - target) / target) if v > 0.0 else -math.inf)
+
+    (v_lo, r_lo), (v_hi, r_hi) = resid(lo), resid(hi)
+    if v_lo == target:
+        return lo
+    if v_hi == target:
+        return hi
+    rising = v_lo < target
+    if rising != (target < v_hi):
+        raise SolverError("root is not bracketed", (lo, hi))
+    kept, tries, ref = 0, 0, math.log(hi) - math.log(lo)
+    for _ in range(600):
+        if hi - lo <= 8.9e-16 * lo:
+            break
+        t, d, tries = math.nan, r_lo - r_hi, tries + 1
+        if tries <= 3 and d != 0.0 and 0.0 < r_lo / d < 1.0:
+            # at least half the tolerance from either end, so that the far
+            # end closes in once the near one sits at the root
+            step = 4.4e-16 * lo
+            t = math.exp(math.log(lo) + r_lo / d * (math.log(hi) - math.log(lo)))
+            t = min(max(t, lo + step), hi - step)
+        if not lo < t < hi:
+            t, tries = math.sqrt(lo) * math.sqrt(hi), 4
+            if not lo < t < hi:
+                break
+        v, r = resid(t)
+        if v == target:
+            return t
+        if (v < target) == rising:
+            lo, v_lo, r_lo = t, v, r
+            r_hi = r_hi / 2.0 if kept == 1 else r_hi
+            kept = 1
+        else:
+            hi, v_hi, r_hi = t, v, r
+            r_lo = r_lo / 2.0 if kept == -1 else r_lo
+            kept = -1
+        width = math.log(hi) - math.log(lo)
+        if tries == 4 or width <= 0.5 * ref:
+            ref, tries = width, 0
+    else:
+        raise SolverError("root solve did not converge", (lo, hi))
+    return lo if abs(v_lo - target) <= abs(v_hi - target) else hi
 
 
 def _march_up(g: InterpolationFunction, qp: float, depth: int) -> tuple[list, str]:

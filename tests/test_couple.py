@@ -1,11 +1,12 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq, minimize, minimize_scalar
 
 from clinterp import couple as cp
 from clinterp import lattice as lat
@@ -40,6 +41,47 @@ class TestCoupleBasics:
 
     def test_intersection(self):
         assert cp.intersection_norm(L1_LINF_2, [1.0, 2.0]) == pytest.approx(3.0)
+
+
+def _drawn_leg(data, d, kinds=("lp", "wlp", "sub"), p_range=(0.5, 3.0)):
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "sub":
+        return lat.submeasure_lp(data.draw(st.floats(0.5, 0.99)), d)
+    fixed = [p for p in (0.5, 1.0, 2.0) if p_range[0] <= p <= p_range[1]]
+    p = data.draw(st.sampled_from(fixed) | st.floats(*p_range))
+    if kind == "lp":
+        return lat.lp(p, d)
+    w = data.draw(st.lists(st.floats(0.25, 4.0), min_size=d, max_size=d))
+    return lat.weighted_lp(p, d, w)
+
+
+def _drawn_x(data, d):
+    return np.array(data.draw(st.lists(st.just(0.0) | st.floats(0.05, 5.0),
+                                       min_size=d, max_size=d)))
+
+
+def _scalar_polish(c, a, x0, sweeps=60):
+    """The reference polish: cyclic coordinate descent with scipy's bounded
+    minimize_scalar on each coordinate, ends included."""
+    x0 = x0.copy()
+    current = lat.norm(c.x0, x0) + lat.norm(c.x1, a - x0)
+    for _ in range(sweeps):
+        previous = current
+        for j in np.flatnonzero(a):
+            def h(s, j=j):
+                old, x0[j] = x0[j], s
+                val = lat.norm(c.x0, x0) + lat.norm(c.x1, a - x0)
+                x0[j] = old
+                return val
+
+            res = minimize_scalar(h, bounds=(0.0, a[j]), method="bounded",
+                                  options={"xatol": 1e-13 * max(1.0, a[j])})
+            val, s = min((h(0.0), 0.0), (h(a[j]), a[j]), (res.fun, res.x))
+            if val < current:
+                x0[j], current = s, val
+        if not current < previous:
+            break
+    return current
 
 
 class TestSumNorm:
@@ -181,6 +223,68 @@ class TestSumNorm:
         assert cp.sum_norm(c, a, seed=seed) == est
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_polish_matches_scalar_reference(self, data):
+        # from the batched search's best row, the interval-grid polish ends
+        # no higher than scipy's minimize_scalar coordinate descent
+        d = data.draw(st.integers(1, 5))
+        c = cp.Couple(_drawn_leg(data, d), _drawn_leg(data, d))
+        a = _drawn_x(data, d)
+        starts = []
+        polish = cp._coordinate_descent
+
+        def spy(c, a, x0, *args):
+            starts.append(x0.copy())
+            return polish(c, a, x0, *args)
+
+        with mock.patch.object(cp, "_coordinate_descent", spy):
+            est = cp.sum_norm(c, a, seed=data.draw(st.integers(0, 2**16)))
+        if starts:
+            assert est.upper <= _scalar_polish(c, a, starts[0]) * (1.0 + 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_dual_lower_bound_is_sound(self, data):
+        # on convex legs the lower bound is a duality bound: no split scipy
+        # finds, from s = 1/2 or from the returned witness, lies below it,
+        # and it closes on the value up to the polish's accuracy
+        d = data.draw(st.integers(1, 5))
+        legs = [lat.linf(d) if data.draw(st.integers(0, 5)) == 0
+                else _drawn_leg(data, d, kinds=("lp", "wlp"), p_range=(1.0, 4.0))
+                for _ in range(2)]
+        c = cp.Couple(*legs)
+        a = _drawn_x(data, d)
+        est = cp.sum_norm(c, a, seed=data.draw(st.integers(0, 2**16)))
+
+        def split(s):
+            return lat.norm(c.x0, a * s) + lat.norm(c.x1, a * (1.0 - s))
+
+        witness = np.divide(est.witness["x0"], a, out=np.zeros(d), where=a > 0)
+        ref = min(minimize(split, s, bounds=[(0.0, 1.0)] * d, method="L-BFGS-B").fun
+                  for s in (np.full(d, 0.5), witness))
+        assert est.lower <= ref * (1.0 + 1e-15)
+        if est.method in ("batched-search", "linf-cap"):
+            assert est.lower >= est.upper * (1.0 - 1e-4)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_linf_cap_matches_dense_scan(self, seed):
+        # h(t) = ||(|x| - t)+||_other + t on 20001 points and every |x_j|,
+        # computed here from the weighted lp formula
+        rng = np.random.default_rng(seed)
+        d = 5
+        for other in (lat.lp(1.5, d), lat.weighted_lp(1.0, d, rng.uniform(0.1, 0.5, d)),
+                      lat.weighted_lp(0.7, d, rng.uniform(0.25, 4.0, d)),
+                      lat.submeasure_lp(0.6, d)):
+            a = rng.uniform(0.1, 2.0, d)
+            val, capped = cp._sum_with_linf(other, a)
+            ts = np.concatenate([np.linspace(0.0, a.max(), 20001), a])
+            rest = np.maximum(a[None, :] - ts[:, None], 0.0)
+            dense = float(np.min((rest**other.p @ other.w) ** (1.0 / other.p) + ts))
+            assert dense * (1.0 - 1e-6) <= val <= dense * (1.0 + 1e-12)
+            assert lat.norm(other, a - capped) + np.max(capped) == pytest.approx(val, rel=1e-12)
+
+
 class TestClNormOracles:
     def test_l1_linf_power_half(self):
         est = cp.cl_norm(L1_LINF_2, POWER_HALF, [1.0, 1.0])
@@ -247,6 +351,18 @@ class TestClNormOracles:
         assert cp.cl_norm(L1_LINF_2, POWER_HALF, [0.0, 0.0]).upper == 0.0
         est = cp.cl_norm(L1_LINF_2, qc.zero_function(), [1.0, 0.0])
         assert est.upper == math.inf and "infeasible" in est.flags
+
+    def test_max_goes_to_its_oracle(self):
+        # max is pl_max(1, 1), so its exact value comes from the same
+        # assignment oracle, inside the search's certified bracket
+        c = cp.parse_couple("lp:1:3|lp:2:3")
+        x = np.random.default_rng(0).uniform(0.1, 2.0, 3)
+        est = cp.cl_norm(c, qc.max_function(), x, method="oracle")
+        assert est.method == "oracle:plmax"
+        assert est.lower == est.upper == cp.cl_norm(c, qc.pl_max(1.0, 1.0), x).upper
+        assert est.upper == pytest.approx(1.3102272059, rel=1e-10)
+        searched = cp.cl_norm(c, qc.max_function(), x, method="optimize")
+        assert searched.lower <= est.upper <= searched.upper
 
     def test_oracle_method_rejects_harmonic(self):
         with pytest.raises(UnsupportedExpressionError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clinterp._optim import batched_search
+from clinterp._optim import batched_search, interval_minimize
 
 
 def _bumpy(rows):
@@ -68,3 +68,41 @@ def test_separable_minimum_on_a_corner_and_on_a_face(seed):
     corner = _run(lambda rows: -rows[:, 0] + 2.0 * rows[:, 1] - rows[:, 2], start,
                   seed=seed, lo=0.0, hi=1.0, keep=1)[0]
     np.testing.assert_array_equal(corner, [1.0, 0.0, 1.0])
+
+
+def test_interval_minimize_batches_every_interval():
+    # one call per round scores all intervals; each finds its own minimum,
+    # interior, at the left end or at the right end
+    calls = []
+
+    def score(t):
+        calls.append(len(t))
+        return (t - 0.3) ** 2
+
+    lo, hi = np.array([0.0, 0.5, -2.0]), np.array([1.0, 2.0, 0.1])
+    ts, vals = interval_minimize(score, lo, hi, xatol=1e-13)
+    assert ts[0] == pytest.approx(0.3, abs=1e-13)
+    assert ts[1] == 0.5 and ts[2] == 0.1
+    np.testing.assert_array_equal(vals, (ts - 0.3) ** 2)
+    assert all(n == 3 * 33 for n in calls)
+
+
+def test_interval_minimize_presamples_a_bumpy_interval():
+    # the first grid finds the deeper of two wells; golden-section search
+    # from the whole interval would settle in either
+    def score(t):
+        return np.minimum((t - 0.1) ** 2 + 0.01, (t - 0.8) ** 2)
+
+    ts, vals = interval_minimize(score, 0.0, 1.0, xatol=1e-12)
+    assert ts[0] == pytest.approx(0.8, abs=1e-12) and vals[0] <= 1e-24
+
+
+def test_interval_minimize_stops_on_a_point_interval():
+    calls = []
+
+    def score(t):
+        calls.append(len(t))
+        return t
+
+    ts, vals = interval_minimize(score, 2.0, 2.0, xatol=1e-13)
+    assert ts[0] == 2.0 and vals[0] == 2.0 and calls == [33]

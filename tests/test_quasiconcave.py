@@ -1,10 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from clinterp import quasiconcave as qc
 from clinterp.errors import (
     DescriptorError,
     DomainError,
@@ -384,6 +387,27 @@ class TestDecomposition:
             d = bk_decompose(f, q, depth=8)
             rep = verify_bk(d, f, grid)
             assert rep["pass"], (f.family, q, rep)
+
+    def test_node_solves_match_brentq(self):
+        # every root the march solves for the families above agrees with
+        # scipy's brentq at its relative tolerance to 4e-15
+        seen = []
+        solve = qc._solve
+
+        def spy(fn, target, lo, hi):
+            t = solve(fn, target, lo, hi)
+            seen.append((fn, target, lo, hi, t))
+            return t
+
+        with mock.patch.object(qc, "_solve", spy):
+            for q in (2.0, 4.0, 16.0):
+                for f in ALL_FAMILIES:
+                    bk_decompose(f, q, depth=8)
+        assert len(seen) > 500
+        for fn, target, lo, hi, t in seen:
+            ref = brentq(lambda s: fn(s) - target, lo, hi, xtol=1e-300, rtol=8.9e-16,
+                         maxiter=600)
+            assert abs(t - ref) <= 4e-15 * ref, (target, lo, hi, t, ref)
 
     def test_majorant_path_for_max(self):
         d = bk_decompose(max_function(), 4.0)
