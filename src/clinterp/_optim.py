@@ -4,9 +4,11 @@ Every search in the package runs through batched_search, a box-constrained
 random search that scores whole blocks of rows in one call, so that seeding
 and tie-breaking behave identically everywhere: one generator fixes the
 draws and ties go to the earlier row. interval_minimize serves the
-one-dimensional minimizations, many intervals per call on a shrinking grid.
-spawn_rngs serves the samplers that need one generator per sample, and
-cube_corners the exact enumerations over the corners of a cube.
+one-dimensional minimizations, many intervals per call on a shrinking grid,
+and grid_bracket the monotone level searches, many rows per call, each
+settled on a fixed grid in a few guided probes. spawn_rngs serves the
+samplers that need one generator per sample, and cube_corners the exact
+enumerations over the corners of a cube.
 """
 
 from __future__ import annotations
@@ -129,6 +131,77 @@ def interval_minimize(
         last = width
         lo = grid[rows, np.maximum(j - 1, 0)]
         hi = grid[rows, np.minimum(j + 1, points - 1)]
+
+
+def grid_bracket(
+    probe: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    n: int,
+    cap: float,
+    steps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The grid cell where a monotone test stops marking a level, for n rows
+    at once.
+
+    probe(rows, lam) tests row rows[i] at the level lam[i] > 0 and returns
+    whether each level is marked, together with a residual that falls as lam
+    grows and is positive where the level is marked. A row marked at a level
+    is marked at every lower one, and level 0 counts as marked. On the grid
+    lam_j = cap (j 2^-steps), j = 0, ..., 2^steps, every row's answer is the
+    cell (lam_j, lam_(j+1)) with lam_j marked and lam_(j+1) not; rows marked
+    at cap report (cap, inf). The cell is unique, so the answer is the one a
+    plain bisection of the grid returns, and the residual only decides which
+    levels get probed. The grid has at most 52 halvings, so that its float
+    indices stay exact and its cells stay at least an ulp of cap wide.
+
+    Every row is probed at cap first; after that, each round probes every
+    row whose cell is still open once. The index comes from regula falsi in
+    log lam on the residuals at the two ends of the row's index range, with
+    the Illinois rule: an end kept twice in a row has its residual halved.
+    Until the low end has a finite residual, the guess takes the residual to
+    fall by one per unit of log lam: the log of a quasi-concave function's
+    inverse in its second argument grows at least that fast in the log of
+    its target. The index range is bisected where the guess is not finite,
+    and after three probes that leave more than half the range.
+    """
+    steps = min(steps, 52)
+    size = 2.0 ** steps
+    stuck, r_hi = probe(np.arange(n), np.full(n, cap, dtype=float))
+    r_hi = np.array(r_hi, dtype=float)
+    lo = np.zeros(n)
+    hi = np.full(n, size)
+    # log(j / size) at each end of the range; the low end starts unknown
+    t_lo = np.full(n, -math.inf)
+    t_hi = np.zeros(n)
+    r_lo = np.full(n, math.nan)
+    kept = np.zeros(n, dtype=int)
+    tries = np.zeros(n, dtype=int)
+    ref = hi.copy()
+    while True:
+        rows = np.flatnonzero(~stuck & (hi - lo > 1.0))
+        if rows.size == 0:
+            break
+        a, b = lo[rows], hi[rows]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rl, rh = r_lo[rows], r_hi[rows]
+            t = np.where(np.isfinite(rl),
+                         t_lo[rows] + rl / (rl - rh) * (t_hi[rows] - t_lo[rows]),
+                         t_hi[rows] + rh)
+            guess = np.floor(size * np.exp(t))
+        halve = (tries[rows] >= 3) | ~np.isfinite(guess)
+        m = np.where(halve, np.floor(0.5 * (a + b)), np.clip(guess, a + 1.0, b - 1.0))
+        bad, r = probe(rows, cap * (m / size))
+        up, down = rows[bad], rows[~bad]
+        r_hi[up[kept[up] == 1]] /= 2.0
+        r_lo[down[kept[down] == -1]] /= 2.0
+        lo[up], r_lo[up], kept[up] = m[bad], r[bad], 1
+        hi[down], r_hi[down], kept[down] = m[~bad], r[~bad], -1
+        t_lo[up], t_hi[down] = np.log(m[bad] / size), np.log(m[~bad] / size)
+        width = hi[rows] - lo[rows]
+        reset = halve | (width <= 0.5 * ref[rows])
+        tries[rows] = np.where(reset, 0, tries[rows] + 1)
+        ref[rows] = np.where(reset, width, ref[rows])
+    return (np.where(stuck, cap, cap * (lo / size)),
+            np.where(stuck, math.inf, cap * (hi / size)))
 
 
 def cube_corners(k: int) -> np.ndarray:

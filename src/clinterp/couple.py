@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lattice as lat
-from ._optim import batched_search, cube_corners, interval_minimize
+from ._optim import batched_search, cube_corners, grid_bracket, interval_minimize
 from .errors import (
     DescriptorError,
     DomainError,
@@ -401,41 +401,27 @@ def _invert_second_arg(f: InterpolationFunction, u: np.ndarray, c: np.ndarray) -
     return out
 
 
-def _bisect_levels(infeasible_at, n: int, lam_cap: float,
-                   steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect [0, lam_cap] for n rows at once on a monotone test that marks
-    the levels lam certified infeasible. After steps halvings every row's
-    (lo, hi) is lam_cap 2^-steps wide with lo marked and hi unmarked; rows
-    marked at lam_cap itself report (lam_cap, inf)."""
-    lo = np.zeros(n)
-    hi = np.full(n, lam_cap)
-    stuck = infeasible_at(hi)
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        bad = infeasible_at(mid)
-        lo = np.where(bad, mid, lo)
-        hi = np.where(bad, hi, mid)
-    return np.where(stuck, lam_cap, lo), np.where(stuck, math.inf, hi)
-
-
 def _batched_inner_bracket(c: Couple, f: InterpolationFunction, a_sup: np.ndarray,
                            support: np.ndarray, us: np.ndarray, lam_cap: float,
                            steps: int = 24) -> tuple[np.ndarray, np.ndarray]:
     """Certified bracket on inf over feasible v of max_j a_j/phi(u_j, v_j).
 
     For fixed u the smallest admissible second witness at level lam is the
-    coordinatewise inversion of phi; its norm is monotone in lam, so a
-    bisection (_bisect_levels) whose low end keeps the norm strictly above
-    one certifies the value from below and whose high end stays feasible
-    certifies it from above.  Rows still infeasible at lam_cap report
-    (lam_cap, inf).
+    coordinatewise inversion of phi; its norm is monotone in lam.  Each row
+    reports the cell (lo, hi) of the grid lam_cap j 2^-steps (at most 52
+    halvings, _optim.grid_bracket) where that norm falls to at most one:
+    lo keeps it strictly above one and so certifies the value from below,
+    hi is feasible and certifies it from above.  Rows still infeasible at
+    lam_cap report (lam_cap, inf).  The log of the norm guides the probes.
     """
-    def infeasible_at(lam: np.ndarray) -> np.ndarray:
-        v = _invert_second_arg(f, us, a_sup[None, :] / np.where(lam > 0, lam, 1.0)[:, None])
-        return ~(lat.norm_rows(c.x1, v, support) <= 1.0 + 1e-12)  # nan is infeasible
+    def probe(rows: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        v = _invert_second_arg(f, us[rows], a_sup[None, :] / lam[:, None])
+        norms = lat.norm_rows(c.x1, v, support)
+        # nan is infeasible
+        return ~(norms <= 1.0 + 1e-12), np.log(norms / (1.0 + 1e-12))
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _bisect_levels(infeasible_at, us.shape[0], lam_cap, steps)
+        return grid_bracket(probe, us.shape[0], lam_cap, steps)
 
 
 def _dual_bound_ready(c: Couple, f: InterpolationFunction) -> bool:
@@ -467,7 +453,10 @@ def _batched_dual_lower(c: Couple, f: InterpolationFunction, a_sup: np.ndarray,
     point keeps the bound sound and the exact one keeps it tight; an empty
     interval makes the term infinite.  mu = 0 recovers the plain corner
     bound, and the stationarity seed makes the bound tight near the optimum
-    without resolving the feasibility surface geometrically.
+    without resolving the feasibility surface geometrically.  Each box
+    reports the low end of the cell of the grid lam_cap j 2^-24
+    (_optim.grid_bracket) where that certificate stops, a level certified
+    infeasible; the largest L(mu) - 1 guides the probes.
     """
     th, coef, a_floor, low = power_piece(f)
     p = c.x0.p
@@ -479,7 +468,8 @@ def _batched_dual_lower(c: Couple, f: InterpolationFunction, a_sup: np.ndarray,
     # u0 / c_j, where (c/coef)^(1/theta) u^(-beta) = A c; inf without a floor
     split = (a_floor * coef ** (1.0 / th)) ** (-1.0 / beta) if a_floor > 0.0 else math.inf
 
-    def infeasible_at(lam: np.ndarray) -> np.ndarray:
+    def probe(rows: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        box_lo, box_hi = los[rows], his[rows]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             cs = a_sup[None, :] / lam[:, None]
             cj = w1[None, :] * (a_sup[None, :] / (lam[:, None] * coef)) ** (q / th)
@@ -487,13 +477,14 @@ def _batched_dual_lower(c: Couple, f: InterpolationFunction, a_sup: np.ndarray,
                           * (alpha * cj / p) ** (p / (alpha + p)), axis=1)
             mu_seed = tail ** ((alpha + p) / p)
             # the 1e-12 keeps rounding in a/lam from emptying a feasible box
-            bottom = np.maximum(los, low * cs * (1.0 - 1e-12))
-            top = np.minimum(his, split * cs)  # the power branch
+            bottom = np.maximum(box_lo, low * cs * (1.0 - 1e-12))
+            top = np.minimum(box_hi, split * cs)  # the power branch
             const_at = np.maximum(bottom, split * cs)  # the constant branch
             power_live = bottom <= top
-            const_live = const_at <= his
+            const_live = const_at <= box_hi
             const_term = w1[None, :] * (a_floor * cs) ** q
             out = np.zeros(lam.shape[0], dtype=bool)
+            worst = np.full(lam.shape[0], -math.inf)
             for scale in (0.0, 0.25, 1.0, 4.0):
                 if scale == 0.0:
                     ustar = top
@@ -511,9 +502,10 @@ def _batched_dual_lower(c: Couple, f: InterpolationFunction, a_sup: np.ndarray,
                              math.inf))
                 lag = np.sum(hvals, axis=1) - mu
                 out |= lag > 1.0 + 1e-12
-            return out
+                worst = np.fmax(worst, lag)  # a nan lag certifies nothing
+            return out, worst - (1.0 + 1e-12)
 
-    return _bisect_levels(infeasible_at, los.shape[0], lam_cap, 24)[0]
+    return grid_bracket(probe, los.shape[0], lam_cap, 24)[0]
 
 
 def _reduce_box_tops(spec: lat.LatticeSpec, los: np.ndarray, his: np.ndarray,
@@ -539,9 +531,12 @@ def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray,
 
     The inner value for fixed u is nonincreasing in u, so a box's upper
     corner bounds every witness inside it from below, and no grid inflation
-    factor enters.  Witnesses with any coordinate below the a-priori floor
-    (derived from the prune threshold tau and the largest admissible partner
-    coordinate) already exceed tau, so the search domain is [floor, cap];
+    factor enters.  Each corner's value is the cell of the level grid
+    lam_cap j 2^-24 from _batched_inner_bracket, lam_cap = upper (1 + 1e-9):
+    its low end is the corner's bound, its high end a feasible level.
+    Witnesses with any coordinate below the a-priori floor (derived from the
+    prune threshold tau and the largest admissible partner coordinate)
+    already exceed tau, so the search domain is [floor, cap];
     boxes whose lower corner escapes the unit ball hold no witness at all.
     The returned value min(active bounds, settled bounds, tau) is therefore
     a true lower bound for every feasible witness.  The first leg has a
@@ -678,8 +673,11 @@ def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
     around the incumbent, a half-width of 3 halving down to tol and at most
     iters rounds of each stage; every row is normalized into the unit ball
     and bracketed at the least value scored so far. An l-infinity first leg
-    takes u = 1, the largest element of its ball. The final lam is bracketed to
-    relative width tol and the witness is re-verified arithmetically. seed
+    takes u = 1, the largest element of its ball. The final lam is bracketed
+    in a cell of the grid cap (1 + 1e-9) j 2^-steps, steps = max(24,
+    ceil(-log2 tol)) halvings up to 52, so to relative width about tol but
+    never below 2^-52; the witness sits at the cell's feasible high end and
+    is re-verified arithmetically. seed
     fixes the draws, so equal seeds give equal estimates; iterations counts
     the rows scored. With certify_lower, an l-infinity first leg takes the
     lower bound from the low end of that final bracket at u = 1, which

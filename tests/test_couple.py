@@ -447,6 +447,44 @@ class TestClNormOptimizer:
         assert 0.0 < est.lower <= oracle <= est.upper
         assert est.upper - est.lower <= 1e-8 * est.upper
 
+    def test_tiny_tol_stops_at_the_float_grid(self):
+        # tol = 1e-20 asks for 67 halvings of the final bracket; the level
+        # grid stops at 52, where its float indices are still exact
+        c = cp.parse_couple("lp:1:3|lp:2:3")
+        x = [0.3, 1.2, 2.0]
+        exact = cp.cl_norm(c, POWER_HALF, x, method="oracle").upper
+        est = cp.cl_norm(c, POWER_HALF, x, method="optimize", tol=1e-20)
+        assert est.flags == ("grid-certified",)
+        assert est.lower <= exact <= est.upper
+
+    def test_inner_brackets_settle_in_few_probes(self):
+        # criterion 03's mix: a blind 24-step bisection makes about 25
+        # inverse calls per bracket, the guided search 3 to 6
+        calls = {"inverse": 0, "bracket": 0}
+        inverse, bracket = cp._invert_second_arg, cp._batched_inner_bracket
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        spaces = (lambda d: lat.lp(1.0, d), lambda d: lat.lp(2.0, d), lat.linf,
+                  lambda d: lat.lp(0.5, d))
+        pairs = list(itertools.combinations(spaces, 2))
+        phis = [qc.power(0.25), qc.power(0.5), qc.power(0.75), qc.min_function()]
+        rng = np.random.default_rng(2026)
+        with mock.patch.object(cp, "_invert_second_arg", counted("inverse", inverse)), \
+                mock.patch.object(cp, "_batched_inner_bracket", counted("bracket", bracket)):
+            for i in range(50):
+                d = (2, 3, 4)[i % 3]
+                c = cp.Couple(*(leg(d) for leg in pairs[i % len(pairs)]))
+                x = rng.uniform(0.1, 2.0, size=d)
+                est = cp.cl_norm(c, phis[i % 4], x, method="optimize", seed=0)
+                assert "grid-certified" in est.flags
+        assert calls["bracket"] > 0
+        assert calls["inverse"] <= 8 * calls["bracket"]
+
     def test_budget_exhausted_flag(self):
         # sum's inverse is piecewise linear, not one power piece, so it has no
         # dual bound and this certificate spends the whole box budget; its
