@@ -24,7 +24,7 @@ from . import lattice as lat
 from . import operators as ops
 from . import pathology as pat
 from . import quasiconcave as qc
-from .errors import ClinterpError, DescriptorError
+from .errors import ClinterpError, DescriptorError, DomainError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,6 +32,12 @@ class _Parser(argparse.ArgumentParser):
     # for failed checks, so route usage problems through the error channel
     def error(self, message):
         raise DescriptorError(message)
+
+
+def _sample_count(args) -> int:
+    if args.samples < 1:
+        raise DomainError(f"--samples must be at least 1, got {args.samples}")
+    return args.samples
 
 
 def _sanitize(obj):
@@ -396,7 +402,7 @@ def _cmd_split(args):
         c = cp.parse_couple(args.couple)
         config["couple"] = c.describe()
         rng = np.random.default_rng(args.seed)
-        samples = [rng.uniform(0.1, 2.0, c.dim) for _ in range(max(1, args.samples))]
+        samples = [rng.uniform(0.1, 2.0, c.dim) for _ in range(args.samples)]
         tol = args.tol if args.tol is not None else 5e-2
         rep = cp.phi_space_equivalence(
             c, f, samples, seed=args.seed, starts=args.starts, iters=args.iters, tol=tol
@@ -665,7 +671,7 @@ def _cmd_verify(args):
         worst_err = 0.0
         norms_finite = True
         ran = 0
-        for _ in range(max(1, args.samples)):
+        for _ in range(_sample_count(args)):
             a = rng.uniform(0.1, 2.0, c.dim)
             est = cp.cl_norm(c, f, a, seed=args.seed, certify_lower=False)
             if not (math.isfinite(est.upper) and est.upper > 0.0):
@@ -704,7 +710,7 @@ def _cmd_verify(args):
         u0 = u0 / max(lat.norm(c.x0, u0), 1e-300)
         u1 = u1 / max(lat.norm(c.x1, u1), 1e-300)
         base = np.asarray(qc.eval_phi(f, u0, u1), dtype=float)
-        n_vec = max(1, min(args.samples, 8))
+        n_vec = min(_sample_count(args), 8)
         xs = [base * rng.uniform(0.2, 1.0, c.dim) / n_vec for _ in range(n_vec)]
         max_m = args.depth
         if d.top_kind == "truncated":

@@ -321,68 +321,106 @@ def _relaxation_lower(c: Couple, a: np.ndarray) -> float:
 # interpolation norm
 
 
-def _power_oracle(c: Couple, f: InterpolationFunction, a: np.ndarray) -> NormEstimate:
-    """Exact value for the power family on (weighted) lp legs.
+def _oracle_rows(c: Couple, f: InterpolationFunction, rows: np.ndarray
+                 ) -> tuple[str, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Closed-form interpolation norms of the rows of an (m, n) array of
+    nonnegative vectors, with their witnesses: (method, lam, u, v), one
+    entry or row per input row, or None where no closed form applies.
 
-    With 1/r = (1-theta)/p0 + theta/p1 and the matching weight product, the
-    value is the weighted r-norm over coef; Holder in one direction and an
-    explicit witness in the other make it exact for every exponent range.
+    - min: the intersection norm, u = x/||x||_X0 and v = x/||x||_X1.
+    - power on (weighted) lp legs: with 1/r = (1-theta)/p0 + theta/p1 and
+      the matching weight product, the weighted r-norm over coef; Holder in
+      one direction and the explicit witness in the other make it exact for
+      every exponent range. Two l-infinity legs give max x / coef.
+    - plmax(alpha, beta) and max = plmax(1, 1): each coordinate is served by
+      one leg, so minimize max(||x'||_X0/alpha, ||x''||_X1/beta) over the
+      assignments of the union support to the legs (cube corners, bit i
+      sending support coordinate i to the first leg; ties to the earlier
+      one). A leg that serves only zero coordinates costs 0, even at a zero
+      coefficient. Only up to 12 support coordinates; lam is inf where no
+      assignment is finite.
+    - any other function on two l-infinity legs: max x / phi(1, 1).
+
+    A zero row has lam = 0. The root of the power form uses Python's float
+    pow row by row, which keeps its values bit-identical across releases:
+    numpy's vectorized power differs from it in the last bit for about one
+    value in twenty. min takes lattice.norm row by row for the same reason,
+    as a matrix-vector norm_rows differs from its np.dot in the last bit.
     """
-    theta, coef = f.params
-    p0, w0 = c.x0.p, c.x0.w
-    p1, w1 = c.x1.p, c.x1.w
-    e0 = (1.0 - theta) / p0 if math.isfinite(p0) else 0.0
-    e1 = theta / p1 if math.isfinite(p1) else 0.0
-    inv_r = e0 + e1
-    support = a > 0
-    if inv_r == 0.0:
-        lam = float(np.max(a)) / coef
-        ones = np.ones(c.dim)
-        return NormEstimate(lam, lam, {"u": ones.tolist(), "v": ones.tolist(), "lam": lam},
-                            "oracle:linf-pair")
-    r = 1.0 / inv_r
-    # an l-infinity leg has exponent e = 0, so its weights drop out
-    m = w0 ** (r * e0) * w1 ** (r * e1) * a**r
-    total = float(np.sum(m))
-    lam = total ** (1.0 / r) / coef
-    u = np.ones(c.dim)
-    v = np.ones(c.dim)
-    if math.isfinite(p0):
-        u = np.where(support, (m / np.where(m > 0, total * w0, 1.0)) ** (1.0 / p0), 0.0)
-    if math.isfinite(p1):
-        v = np.where(support, (m / np.where(m > 0, total * w1, 1.0)) ** (1.0 / p1), 0.0)
-    return NormEstimate(lam, lam, {"u": u.tolist(), "v": v.tolist(), "lam": lam},
-                        "oracle:power")
-
-
-def _plmax_oracle(c: Couple, alpha: float, beta: float, a: np.ndarray) -> NormEstimate | None:
-    """Exact value for max(alpha s, beta t): each coordinate is served by one
-    leg, so minimize over the 2^s support assignments (cube corners, bit i
-    sending support coordinate i to the first leg)."""
-    support = np.flatnonzero(a)
-    if len(support) > 12:
+    if f.normalization == 0.0:
         return None
-    masks = cube_corners(len(support))
-    a_sup = a[support]
+    if f.family == "min":
+        norms = np.array([[lat.norm(spec, row) for spec in (c.x0, c.x1)] for row in rows])
+        lam = np.max(norms, axis=1)
+        safe = np.where(norms > 0.0, norms, 1.0)
+        return "oracle:min-intersection", lam, rows / safe[:, :1], rows / safe[:, 1:]
+    if f.family == "power":
+        theta, coef = f.params
+        e0 = (1.0 - theta) / c.x0.p if math.isfinite(c.x0.p) else 0.0
+        e1 = theta / c.x1.p if math.isfinite(c.x1.p) else 0.0
+        inv_r = e0 + e1
+        ones = np.ones_like(rows)
+        if inv_r == 0.0:
+            return "oracle:linf-pair", np.max(rows, axis=1) / coef, ones, ones
+        r = 1.0 / inv_r
+        # an l-infinity leg has exponent e = 0, so its weights drop out
+        mass = c.x0.w ** (r * e0) * c.x1.w ** (r * e1) * rows**r
+        total = np.sum(mass, axis=1)
+        lam = np.array([t ** (1.0 / r) for t in total.tolist()]) / coef
+        wits = []
+        for leg in (c.x0, c.x1):
+            if math.isfinite(leg.p):
+                share = mass / np.where(mass > 0, total[:, None] * leg.w, 1.0)
+                wits.append(np.where(rows > 0, share ** (1.0 / leg.p), 0.0))
+            else:
+                wits.append(ones)
+        return "oracle:power", lam, wits[0], wits[1]
+    if f.family in ("plmax", "max"):
+        support = np.flatnonzero(np.any(rows > 0, axis=0))
+        if len(support) <= 12:
+            alpha, beta = f.params if f.family == "plmax" else (1.0, 1.0)
+            return ("oracle:plmax",) + _assignment_rows(c, alpha, beta, rows, support)
+    if c.x0.family == "linf" and c.x1.family == "linf":
+        ones = np.ones_like(rows)
+        return "oracle:linf-pair", np.max(rows, axis=1) / f.normalization, ones, ones
+    return None
+
+
+def _assignment_rows(c: Couple, alpha: float, beta: float, rows: np.ndarray,
+                     support: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lam, u and v of plmax(alpha, beta) for each row (see _oracle_rows), the
+    rows taken in blocks of at most 2^14 assignment rows per leg."""
+    u = np.zeros_like(rows)
+    v = np.zeros_like(rows)
+    k = len(support)
+    if k == 0:
+        return np.zeros(rows.shape[0]), u, v
+    masks = cube_corners(k)
+    first = masks > 0.0
+    x = rows[:, support]
+    pick = np.empty(rows.shape[0], dtype=int)
+    lam = np.empty(rows.shape[0])
+    step = max(1, (1 << 14) >> k)
+    for start in range(0, rows.shape[0], step):
+        block = x[start:start + step]
+        live = block[:, None, :] > 0.0
+        legs = []
+        for spec, coef, sends in ((c.x0, alpha, masks), (c.x1, beta, 1.0 - masks)):
+            served = np.any(live & (sends > 0.0), axis=2)
+            parts = (block[:, None, :] * sends).reshape(-1, k)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                legs.append(np.where(served, lat.norm_rows(spec, parts, support)
+                                     .reshape(block.shape[0], -1) / coef, 0.0))
+        vals = np.maximum(*legs)
+        j = np.argmin(vals, axis=1)
+        pick[start:start + step] = j
+        lam[start:start + step] = vals[np.arange(block.shape[0]), j]
+    on_first = first[pick] & (x > 0.0)
+    on_second = ~first[pick] & (x > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # a leg with a zero coefficient cannot serve any coordinate
-        lam0 = np.where(masks.any(axis=1),
-                        lat.norm_rows(c.x0, a_sup * masks, support) / alpha, 0.0)
-        lam1 = np.where((1.0 - masks).any(axis=1),
-                        lat.norm_rows(c.x1, a_sup * (1.0 - masks), support) / beta, 0.0)
-    vals = np.maximum(lam0, lam1)
-    i = int(np.argmin(vals))
-    best = float(vals[i])
-    if not math.isfinite(best):
-        return NormEstimate(math.inf, math.inf, {"reason": "degenerate piecewise-linear part"},
-                            "oracle:plmax", flags=("infeasible",))
-    first = masks[i] > 0.0
-    u = np.zeros(c.dim)
-    v = np.zeros(c.dim)
-    u[support[first]] = a_sup[first] / (alpha * best)
-    v[support[~first]] = a_sup[~first] / (beta * best)
-    return NormEstimate(best, best, {"u": u.tolist(), "v": v.tolist(), "lam": best},
-                        "oracle:plmax")
+        u[:, support] = np.where(on_first, x / (alpha * lam[:, None]), 0.0)
+        v[:, support] = np.where(on_second, x / (beta * lam[:, None]), 0.0)
+    return lam, u, v
 
 
 def _invert_second_arg(f: InterpolationFunction, u: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -662,8 +700,10 @@ def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
 
     method "oracle" demands a closed form (power family on lp-type legs, min,
     max and piecewise-linear max on at most 12 nonzero coordinates, or an
-    l-infinity pair), "optimize" forces the
-    search below, and "auto" prefers the oracle when one applies.
+    l-infinity pair), "optimize" forces the search below without looking one
+    up, and "auto" prefers the oracle when one applies. The closed form is
+    _oracle_rows on the single row |x|, the same one that
+    phi_space_equivalence scores whole blocks of split rows with.
 
     The search runs over the first witness u alone: for fixed u the least
     lam is a monotone problem whose second witness v is the exact
@@ -701,32 +741,17 @@ def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
                             {"reason": "phi vanishes identically; no witness can dominate x"},
                             "infeasible", flags=("infeasible",))
 
-    oracle = None
-    if f.family == "min":
-        lam = intersection_norm(c, a)
-        u = a / lat.norm(c.x0, a)
-        v = a / lat.norm(c.x1, a)
-        oracle = NormEstimate(lam, lam, {"u": u.tolist(), "v": v.tolist(), "lam": lam},
-                              "oracle:min-intersection")
-    elif f.family == "power":
-        oracle = _power_oracle(c, f, a)
-    elif f.family == "plmax":
-        oracle = _plmax_oracle(c, *f.params, a)
-    elif f.family == "max":
-        oracle = _plmax_oracle(c, 1.0, 1.0, a)
-    if oracle is None and c.x0.family == "linf" and c.x1.family == "linf":
-        lam = float(np.max(a)) / f.normalization
-        ones = np.ones(c.dim)
-        oracle = NormEstimate(lam, lam, {"u": ones.tolist(), "v": ones.tolist(), "lam": lam},
-                              "oracle:linf-pair")
-
-    if method == "oracle":
-        if oracle is None:
-            raise UnsupportedExpressionError(
-                f"no closed form for {f.family} on {c.describe()}")
-        return oracle
-    if method == "auto" and oracle is not None:
-        return oracle
+    # the closed form is only looked up where it can be returned
+    closed = _oracle_rows(c, f, a[None, :]) if method in ("auto", "oracle") else None
+    if method == "oracle" and closed is None:
+        raise UnsupportedExpressionError(f"no closed form for {f.family} on {c.describe()}")
+    if closed is not None:
+        kind, lams, us, vs = closed
+        lam = float(lams[0])
+        if not math.isfinite(lam):
+            return NormEstimate(math.inf, math.inf, {"reason": "degenerate piecewise-linear part"},
+                                kind, flags=("infeasible",))
+        return NormEstimate(lam, lam, {"u": us[0].tolist(), "v": vs[0].tolist(), "lam": lam}, kind)
     if method not in ("auto", "optimize"):
         raise DomainError(f"unknown method {method!r}")
 
@@ -828,9 +853,15 @@ def phi_space_equivalence(c: Couple, f: InterpolationFunction, samples, *,
     fractions s in [0, 1]^k on the support, x' = |x| s, by
     _optim.batched_search from the seed rows of sum_norm, following the best
     `starts` as incumbents with 4 * starts rows per round down to a fixed
-    resolution of 1e-6; every row costs two uncertified cl_norm calls. Each
-    sample draws from its own generator, seeded by (seed, sample index).
+    resolution of 1e-6. Each block of rows costs one _oracle_rows call per
+    part where the part has a closed form, and one uncertified cl_norm call
+    per row and part where it has none; a zero part costs 0. The phi-norm
+    itself is one uncertified cl_norm call per sample. Each sample draws
+    from its own generator, seeded by (seed, sample index).
     """
+    samples = list(samples)
+    if not samples:
+        raise DomainError("the equivalence needs at least one sample")
     pair = split_convex_part(f)
     pl, eta = pair.pl_part, pair.eta_part
     records = []
@@ -846,21 +877,28 @@ def phi_space_equivalence(c: Couple, f: InterpolationFunction, samples, *,
 
         support = np.flatnonzero(a)
 
-        def split_value(frac: np.ndarray) -> float:
-            apart = np.zeros(c.dim)
-            apart[support] = a[support] * frac
-            return sum(cl_norm(c, g, part, seed=seed, starts=starts, iters=iters,
-                               certify_lower=False).upper
-                       for g, part in ((pl, apart), (eta, a - apart)) if np.any(part > 0))
+        def score(fracs: np.ndarray) -> np.ndarray:
+            """||a s||_pl + ||a (1 - s)||_eta for each row s of split fractions."""
+            parts = np.zeros((fracs.shape[0], c.dim))
+            parts[:, support] = a[support] * fracs
+            total = np.zeros(fracs.shape[0])
+            for g, rows in ((pl, parts), (eta, a - parts)):
+                closed = _oracle_rows(c, g, rows)
+                if closed is not None:
+                    total += closed[1]
+                else:
+                    total += [cl_norm(c, g, row, seed=seed, starts=starts, iters=iters,
+                                      certify_lower=False).upper if np.any(row > 0) else 0.0
+                              for row in rows]
+            return total
 
         if pl.family == "zero":
-            split_val = split_value(np.zeros(len(support)))
+            split_val = float(score(np.zeros((1, len(support))))[0])
         elif eta.family == "zero":
-            split_val = split_value(np.ones(len(support)))
+            split_val = float(score(np.ones((1, len(support))))[0])
         else:
             split_val = batched_search(
-                lambda rows: np.array([split_value(row) for row in rows]),
-                _split_seeds(len(support)), lo=0.0, hi=1.0, rows=4 * max(1, starts),
+                score, _split_seeds(len(support)), lo=0.0, hi=1.0, rows=4 * max(1, starts),
                 keep=starts, half=1.0, iters=iters, tol=1e-6,
                 rng=np.random.default_rng((seed, idx)))[1]
         ratio = phi_val / split_val if split_val > 0 else math.inf

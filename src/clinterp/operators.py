@@ -94,6 +94,12 @@ def _shape_check(t: OperatorSpec, domain, codomain) -> None:
         raise DomainError(f"codomain dimension {codomain.dim} does not match {rows} rows")
 
 
+def _check_count(name: str, count: int) -> None:
+    """A sampler runs exactly the count it reports, so it needs at least one."""
+    if count < 1:
+        raise DomainError(f"{name} must be at least 1, got {count!r}")
+
+
 def _is_convex(spec: lat.LatticeSpec) -> bool:
     return spec.p >= 1.0
 
@@ -464,6 +470,7 @@ def k_constant(
         size = max(2, x.dim)
     if size < 1:
         raise DomainError("tuple size must be positive")
+    _check_count("samples", samples)
     e0 = np.zeros(x.dim)
     e0[0] = 1.0
     witness: dict = {"xs": [e0.tolist()], "ratio": 1.0, "inner": "singleton"}
@@ -475,7 +482,7 @@ def k_constant(
     lower = 1.0  # the singleton quotient is one in every lattice
     method = "search"
     flags: tuple = ()
-    rngs = spawn_rngs(seed, max(1, samples))
+    rngs = spawn_rngs(seed, samples)
     best_sampled = 0.0
     for i, rng in enumerate(rngs):
         k = 2 + (i % max(1, size - 1)) if size > 1 else 1
@@ -577,8 +584,9 @@ def l_convexity_probe(
     """
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie strictly between 0 and 1")
+    _check_count("trials", trials)
     n = x.dim
-    rngs = spawn_rngs(seed, max(1, trials))
+    rngs = spawn_rngs(seed, trials)
     violations = []
     floor = 1.0 - eps
     for t, rng in enumerate(rngs):
@@ -660,9 +668,10 @@ def verify_sum_regular(
     worse certified leg constant.
     """
     _shape_check(t, c_dom, c_cod)
+    _check_count("samples", samples)
     r0, r1, r = _leg_constants(t, c_dom, c_cod, seed)
     bound = 2.0 * r
-    rngs = spawn_rngs(seed + 2, max(1, samples))
+    rngs = spawn_rngs(seed + 2, samples)
     worst = 0.0
     worst_con = 0.0
     worst_wit = None
@@ -741,7 +750,7 @@ def _interpolation_pass(
     seed: int,
     tol: float,
 ) -> dict:
-    rngs = spawn_rngs(seed, max(1, samples))
+    rngs = spawn_rngs(seed, samples)
     worst = 0.0
     worst_wit = None
     skipped = 0
@@ -802,6 +811,7 @@ def verify_interpolation(
     computation is identical and only the anchor differs.
     """
     _shape_check(t, c_dom, c_cod)
+    _check_count("samples", samples)
     r0, r1, r = _leg_constants(t, c_dom, c_cod, seed)
     bound = 2.0 * (2.0 + TUPLE_BOUND_GAMMA) * r
     main = _interpolation_pass(

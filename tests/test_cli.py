@@ -194,6 +194,24 @@ class TestVerify:
         assert rep["totals"]["failed"] >= 1
 
 
+class TestSampleCounts:
+    @pytest.mark.parametrize("argv", [
+        ["kconst", "--space", "lp:1:3"],
+        ["lconvex", "--space", "lp:0.5:8", "--eps", "0.75"],
+        ["verify", "sumreg", "--matrix", "1,2;3,4", "--couple", "lp:1:2|linf:2"],
+        ["verify", "interp", "--matrix", "1,2;3,4", "--couple", "lp:1:2|linf:2",
+         "--phi", "power:0.5"],
+        ["verify", "factorize", "--couple", "lp:1:2|linf:2", "--phi", "power:0.5"],
+        ["verify", "approx", "--couple", "lp:1:2|linf:2", "--phi", "power:0.5", "--q", "4"],
+        ["split", "--phi", "affinepower:1,1,0.5", "--couple", "lp:1:2|linf:2"],
+    ])
+    def test_samples_below_one_is_an_error(self, capsys, argv):
+        code = cli.main(argv + ["--samples", "0"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "at least" in err
+
+
 class TestPathology:
     def test_certificate_example(self, capsys):
         code, rep = run_cli(capsys, ["pathology", "certificate", "--n", "2", "--p", "0.5"])

@@ -368,6 +368,60 @@ class TestClNormOracles:
         with pytest.raises(UnsupportedExpressionError):
             cp.cl_norm(L1_LINF_2, qc.harmonic(), [1.0, 1.0], method="oracle")
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_row_batched_closed_form_matches_scalar_oracle(self, data):
+        # one block of rows with zeros, scored at once, against cl_norm's
+        # closed form on each row alone: min, power, plmax (beta = 0
+        # included), max and the l-infinity pair on random couples
+        d = data.draw(st.integers(1, 5))
+        kind = data.draw(st.sampled_from(["min", "power", "plmax", "max", "linf-pair"]))
+        if kind == "linf-pair":
+            c = cp.Couple(lat.linf(d), lat.linf(d))
+            f = data.draw(st.sampled_from([qc.harmonic(), qc.sum_function(),
+                                           qc.affine_power(1.0, 1.0, 0.5)]))
+        else:
+            kinds = ("lp", "wlp", "sub", "linf")
+            c = cp.Couple(_drawn_leg(data, d, kinds), _drawn_leg(data, d, kinds))
+            f = {"min": qc.min_function(), "max": qc.max_function()}.get(kind)
+            if kind == "power":
+                f = qc.power(data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+                             data.draw(st.floats(0.5, 2.0)))
+            elif kind == "plmax":
+                f = qc.pl_max(data.draw(st.floats(0.25, 3.0)),
+                              data.draw(st.just(0.0) | st.floats(0.25, 3.0)))
+        rows = np.stack([_drawn_x(data, d) for _ in range(data.draw(st.integers(1, 6)))])
+        method, lams, us, vs = cp._oracle_rows(c, f, rows)
+        for row, lam, u, v in zip(rows, lams, us, vs):
+            est = cp.cl_norm(c, f, row, method="oracle")
+            assert lam == pytest.approx(est.upper, rel=1e-15, abs=0.0)
+            if est.method == "zero" or not math.isfinite(est.upper):
+                continue
+            assert method == est.method
+            assert u == pytest.approx(np.asarray(est.witness["u"]), rel=1e-15, abs=0.0)
+            assert v == pytest.approx(np.asarray(est.witness["v"]), rel=1e-15, abs=0.0)
+        # a single row scores exactly as cl_norm does
+        one = cp._oracle_rows(c, f, rows[:1])[1][0]
+        assert one == cp.cl_norm(c, f, rows[0], method="oracle").upper
+
+    def test_no_closed_form_rows(self):
+        # no closed form for harmonic on a mixed couple, nor for an
+        # assignment over more than 12 support coordinates
+        rows = np.ones((2, 13))
+        assert cp._oracle_rows(cp.parse_couple("lp:1:13|lp:2:13"), qc.harmonic(), rows) is None
+        assert cp._oracle_rows(cp.parse_couple("lp:1:13|lp:2:13"), qc.max_function(),
+                               rows) is None
+        # the l-infinity pair still answers for max there
+        method, lam, _, _ = cp._oracle_rows(cp.parse_couple("linf:13|linf:13"),
+                                            qc.max_function(), rows)
+        assert method == "oracle:linf-pair" and lam.tolist() == [1.0, 1.0]
+
+    def test_optimize_skips_the_closed_form(self):
+        with mock.patch.object(cp, "_oracle_rows", side_effect=AssertionError):
+            est = cp.cl_norm(L1_LINF_2, POWER_HALF, [1.0, 2.0], method="optimize",
+                             certify_lower=False)
+        assert est.method == "optimize"
+
 
 class TestClNormOptimizer:
     def test_matches_power_oracle(self):
@@ -748,6 +802,43 @@ class TestEquivalence:
                                           [[1.0, 1.0]], starts=8, iters=100)
         assert report["pass"]
         assert report["samples"][0]["ratio"] == pytest.approx(1.0, rel=1e-9)
+
+    def test_one_cl_norm_call_per_sample(self):
+        # affinepower's parts are plmax(1, 0) and power(1/2), both closed
+        # forms, so each block of split rows costs two _oracle_rows calls and
+        # only the phi-norm of each sample goes through cl_norm
+        calls = []
+        original = cp.cl_norm
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].family)
+            return original(*args, **kwargs)
+
+        samples = np.random.default_rng(5).uniform(0.1, 2.0, (3, 2))
+        with mock.patch.object(cp, "cl_norm", counted):
+            report = cp.phi_space_equivalence(L1_LINF_2, qc.affine_power(1.0, 1.0, 0.5),
+                                              samples, seed=1)
+        assert report["pass"]
+        assert calls == ["affinepower"] * len(samples)
+
+    def test_blocks_score_as_single_rows(self):
+        # with the closed form withheld from blocks, every split row goes
+        # through cl_norm, whose closed form then sees one row at a time
+        f = qc.affine_power(1.0, 1.0, 0.5)
+        samples = [[0.3, 1.7], [2.0, 0.0], [1.1, 0.4]]
+        batched = cp.phi_space_equivalence(L1_LINF_2, f, samples, seed=4, starts=4, iters=40)
+        closed_form = cp._oracle_rows
+        with mock.patch.object(cp, "_oracle_rows", lambda c, g, rows:
+                               closed_form(c, g, rows) if rows.shape[0] == 1 else None):
+            per_row = cp.phi_space_equivalence(L1_LINF_2, f, samples, seed=4, starts=4,
+                                               iters=40)
+        for one, other in zip(batched["samples"], per_row["samples"]):
+            assert one["phi"] == other["phi"]
+            assert one["split"] == pytest.approx(other["split"], rel=1e-15, abs=0.0)
+
+    def test_needs_a_sample(self):
+        with pytest.raises(DomainError):
+            cp.phi_space_equivalence(L1_LINF_2, POWER_HALF, [])
 
 
 def _band_setup(depth: int = 8):

@@ -436,6 +436,22 @@ class TestVerifyInterpolation:
         assert rep["bound"] == pytest.approx(2.0 * (2.0 + gamma) * rep["R"])
 
 
+class TestSampleCounts:
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_counts_below_one_raise(self, count):
+        # a sampler runs the count it reports, so it needs at least one
+        t = ops.OperatorSpec(np.eye(2))
+        c = Couple(lat.lp(1.0, 2), lat.linf(2))
+        with pytest.raises(DomainError):
+            ops.l_convexity_probe(lat.lp(0.5, 8), 0.75, trials=count)
+        with pytest.raises(DomainError):
+            ops.k_constant(lat.lp(1.0, 3), samples=count)
+        with pytest.raises(DomainError):
+            ops.verify_sum_regular(t, c, c, samples=count)
+        with pytest.raises(DomainError):
+            ops.verify_interpolation(t, c, c, qc.power(0.5), samples=count)
+
+
 class TestDeterminism:
     def test_equal_seeds_equal_reports(self):
         c = Couple(lat.lp(1.0, 3), lat.linf(3))
