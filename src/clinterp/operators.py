@@ -311,12 +311,15 @@ def rho_pq(
     random tuples, polished by _optim.batched_search: the best tuple, scaled
     to max-abs 1 and flattened, is its one seed in the box [-1, 1]^(k n),
     with `tuples` rows per round and at most iters rounds of each stage
-    (iters = 0 skips the polish); iterations counts the tuples scored. The
-    upper side is certified only where a closed argument exists (diagonal
-    matrices, and positive matrices in the sup/sum pattern).
+    (iters = 0 skips the polish); iterations counts the tuples scored, and
+    tuples or size below 1 raise DomainError. The upper side is certified
+    only where a closed argument exists (diagonal matrices, and positive
+    matrices in the sup/sum pattern).
     """
     _shape_check(t, x, y)
     p, q = _check_rho_exponents(p, q)
+    _check_count("tuples", tuples)
+    _check_count("size", size)
     key = ("rho", p, q, x.describe(), y.describe(), seed, tuples, size, iters)
     if key in t.cache:
         return t.cache[key]
@@ -350,7 +353,7 @@ def rho_pq(
             if base.witness is not None:
                 base_witness = np.asarray(base.witness["x"], dtype=float)
 
-    rngs = spawn_rngs(seed, max(1, tuples))
+    rngs = spawn_rngs(seed, tuples)
     best = 0.0
     best_xs = None
     evals = 0
@@ -361,7 +364,7 @@ def rho_pq(
     if single.witness is not None and "x" in single.witness:
         cands.append(np.atleast_2d(np.asarray(single.witness["x"], dtype=float)))
     for i, rng in enumerate(rngs):
-        k = 1 + (i % max(1, size))
+        k = 1 + (i % size)
         cands.append(_tuple_design(rng, k, x.dim))
     for xs in cands:
         val = tuple_ratio(t, x, y, xs, p, q)

@@ -204,6 +204,8 @@ class TestSampleCounts:
         ["verify", "factorize", "--couple", "lp:1:2|linf:2", "--phi", "power:0.5"],
         ["verify", "approx", "--couple", "lp:1:2|linf:2", "--phi", "power:0.5", "--q", "4"],
         ["split", "--phi", "affinepower:1,1,0.5", "--couple", "lp:1:2|linf:2"],
+        ["rho", "--matrix", "1,2;3,4", "--domain", "lp:1:2", "--codomain", "lp:2:2",
+         "--p", "inf", "--q", "1"],
     ])
     def test_samples_below_one_is_an_error(self, capsys, argv):
         code = cli.main(argv + ["--samples", "0"])

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize, minimize_scalar
 
@@ -540,9 +540,10 @@ class TestClNormOptimizer:
         assert calls["inverse"] <= 8 * calls["bracket"]
 
     def test_budget_exhausted_flag(self):
-        # sum's inverse is piecewise linear, not one power piece, so it has no
-        # dual bound and this certificate spends the whole box budget; its
-        # lower bound stays sound, only looser
+        # sum's inverse is piecewise linear, not one power piece, so its boxes
+        # have only the monotone prune beside their corners; that prunes about
+        # one weak box in thirteen here, and this certificate still spends the
+        # whole box budget. Its lower bound stays sound, only looser
         c = cp.parse_couple("lp:1:3|lp:2:3")
         x = np.random.default_rng(0).uniform(0.1, 2.0, 3)
         est = cp.cl_norm(c, qc.sum_function(), x, method="optimize")
@@ -761,8 +762,15 @@ class TestDualBound:
     @given(data=st.data())
     def test_certified_mirror_identity(self, data):
         # ||x||_{phi; X0, X1} = ||x||_{mirror phi; X1, X0}, so each certified
-        # lower bound lies below the other side's upper bound
-        d = data.draw(st.integers(2, 4))
+        # lower bound lies below the other side's upper bound; cappedpower
+        # takes the power-piece dual bound, harmonic (its own mirror) and
+        # affinepower the monotone prune. Those two take at most three
+        # coordinates: a side whose search misses the optimum by more than
+        # the 4e-4 target spends the whole box budget, which takes seconds
+        theta = data.draw(st.sampled_from([0.25, 0.5, 0.75]))
+        f = data.draw(st.sampled_from([qc.capped_power(theta), qc.harmonic(),
+                                       qc.affine_power(1.0, 1.0, theta)]))
+        d = data.draw(st.integers(2, 4 if f.family == "cappedpower" else 3))
         legs = []
         for _ in range(2):
             p = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
@@ -771,7 +779,6 @@ class TestDualBound:
             else:
                 w = data.draw(st.lists(st.floats(0.25, 4.0), min_size=d, max_size=d))
                 legs.append(lat.weighted_lp(p, d, w))
-        f = qc.capped_power(data.draw(st.sampled_from([0.25, 0.5, 0.75])))
         if data.draw(st.booleans()):
             f = qc.mirror(f)
         x = np.array(data.draw(st.lists(st.floats(0.05, 5.0), min_size=d, max_size=d)))
@@ -783,6 +790,119 @@ class TestDualBound:
             assert "grid-certified" in one.flags
             assert 0.0 < one.lower <= one.upper
             assert one.lower <= other.upper * (1.0 + 1e-12)
+
+
+# families without a power piece, so their boxes take the monotone prune
+_PRUNE_FAMILIES = {
+    "harmonic": lambda th: qc.harmonic(),
+    "sum": lambda th: qc.sum_function(),
+    "max": lambda th: qc.max_function(),
+    "plmax": lambda th: qc.pl_max(1.0, 2.0),
+    "plmin": lambda th: qc.pl_min(1.0, 2.0),
+    "hull": lambda th: _HULL,
+    "tabulated": lambda th: _TABLE,
+    "affine": lambda th: qc.affine_power(1.0, 2.0, th),
+    "capped-one": lambda th: qc.capped_power(1.0),
+}
+_PRUNE_FAMILIES.update({f"mirror-{name}": (lambda th, make=make: qc.mirror(make(th)))
+                        for name, make in list(_PRUNE_FAMILIES.items())})
+
+
+class TestMonotonePrune:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_pruned_box_holds_no_witness(self, data):
+        # a pruned box is certified infeasible at tau: no sampled witness u in
+        # the box and the X0 unit ball has a minimal v of X1 norm at most one.
+        # That rests on each axis term bounding its Lagrangian term below
+        s = data.draw(st.integers(1, 3))
+        legs = []
+        for _ in range(2):
+            p = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+            if data.draw(st.booleans()):
+                legs.append(lat.lp(p, s))
+            else:
+                w = data.draw(st.lists(st.floats(0.25, 4.0), min_size=s, max_size=s))
+                legs.append(lat.weighted_lp(p, s, w))
+        c = cp.Couple(*legs)
+        name = data.draw(st.sampled_from(sorted(_PRUNE_FAMILIES)))
+        f = _PRUNE_FAMILIES[name](data.draw(st.sampled_from([0.25, 0.5, 1.0])))
+        assert qc.power_piece(f) is None
+        a = np.array(data.draw(st.lists(st.floats(0.1, 2.0), min_size=s, max_size=s)))
+        support = np.arange(s)
+        caps = 1.0 / c.x0.w ** (1.0 / c.x0.p)
+        lo = caps * np.array(data.draw(st.lists(st.floats(0.02, 0.6), min_size=s,
+                                                max_size=s))) / s
+        spread = np.array(data.draw(st.lists(st.floats(0.1, 6.0), min_size=s, max_size=s)))
+        hi = np.minimum(lo * np.exp(spread), caps)
+        axes = [np.geomspace(lo[j], hi[j], {1: 400, 2: 40, 3: 12}[s]) for j in range(s)]
+        us = np.array(list(itertools.product(*axes)))
+        us = us[lat.norm_rows(c.x0, us, support) <= 1.0]
+        assume(len(us))
+        lam_cap = 100.0 * cp.intersection_norm(c, a) / f.normalization
+        inner = cp._batched_inner_bracket(c, f, a, support, us, lam_cap)[1]
+        best = float(np.min(inner))
+        assume(math.isfinite(best))
+        # each axis term lies below its Lagrangian term at every u of the axis
+        mus = cp._PRUNE_SCALES * (c.x1.p / c.x0.p)
+        terms = cp._monotone_terms(c, f, a, support, lo, hi, best)
+        for j in range(s):
+            u = np.geomspace(lo[j], hi[j], 2000)
+            v = cp._invert_second_arg(f, u, np.full(u.shape, a[j] / best))
+            lag = c.x1.w[j] * v ** c.x1.p + mus[:, None] * c.x0.w[j] * u ** c.x0.p
+            assert np.all(terms[j] <= np.min(lag, axis=1) * (1.0 + 1e-12))
+
+        def pruned(tau):
+            box_terms = cp._monotone_terms(c, f, a, support, lo, hi, tau)
+            return cp._monotone_pruned(c, box_terms[None])[0]
+
+        # the prune is monotone in the level; bisect for the highest level it
+        # proves infeasible, where an unsound bound would first show
+        low, high = best * 1e-3, best * 2.0
+        assume(pruned(low))
+        for _ in range(40):
+            mid = math.sqrt(low * high)
+            low, high = (mid, high) if pruned(mid) else (low, mid)
+        at = lat.norm_rows(c.x1, cp._invert_second_arg(f, us, a / low), support)
+        assert np.min(at) > 1.0 - 1e-12
+
+    def test_prune_cuts_the_box_counts(self):
+        # box counts of the certificate with the prune; without it, harmonic
+        # took 151,295 boxes and the two affinepower sides 7,259 and 6,329
+        x = np.random.default_rng(0).uniform(0.1, 2.0, 4)
+        cases = [
+            ("lp:1:4|lp:0.5:4", qc.harmonic(), x, 10_000),
+            ("lp:1:3|lp:2:3", qc.affine_power(1.0, 1.0, 0.5), x[:3], 7_259),
+            ("lp:2:3|lp:1:3", qc.mirror(qc.affine_power(1.0, 1.0, 0.5)), x[:3], 6_329),
+        ]
+        for couple, f, xs, most in cases:
+            est = cp.cl_norm(cp.parse_couple(couple), f, xs, method="optimize")
+            assert est.flags == ("grid-certified",)
+            assert est.witness["grid"]["converged"] is True
+            assert est.witness["grid"]["boxes"] <= most
+            assert 0.0 < est.lower <= est.upper <= est.lower * (1.0 + 1e-3)
+
+    @pytest.mark.parametrize("couple, phi, runs", [
+        ("lp:1:3|lp:2:3", qc.harmonic(), True),
+        # the Lagrangian sums powers of both legs' entries, so an l-infinity
+        # leg keeps its box corners alone
+        ("lp:1:3|linf:3", qc.harmonic(), False),
+        # a power piece takes the exact dual bound instead
+        ("lp:1:3|lp:2:3", qc.capped_power(0.5), False),
+    ], ids=["harmonic", "linf-leg", "power-piece"])
+    def test_where_the_prune_runs(self, couple, phi, runs):
+        calls = []
+        terms = cp._monotone_terms
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return terms(*args, **kwargs)
+
+        x = np.random.default_rng(0).uniform(0.1, 2.0, 3)
+        with mock.patch.object(cp, "_monotone_terms", counted):
+            est = cp.cl_norm(cp.parse_couple(couple), phi, x, method="optimize")
+        assert "grid-certified" in est.flags
+        assert bool(calls) is runs
 
 
 class TestEquivalence:

@@ -245,6 +245,13 @@ class TestRhoPq:
         with pytest.raises(DomainError):
             ops.rho_pq(t, x, x, 1.0, 0.9)
 
+    @pytest.mark.parametrize("counts", [{"tuples": 0}, {"tuples": -3}, {"size": 0}])
+    def test_rho_needs_a_tuple(self, counts):
+        # a count below one used to score one tuple while reporting the count
+        t = ops.OperatorSpec(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        with pytest.raises(DomainError, match="at least 1"):
+            ops.rho_pq(t, lat.lp(1.0, 2), lat.lp(2.0, 2), math.inf, 1.0, iters=0, **counts)
+
     def test_tuple_ratio_takes_a_stack(self):
         rng = np.random.default_rng(4)
         t = ops.OperatorSpec(rng.normal(size=(3, 3)))
