@@ -17,7 +17,7 @@ inside the phi-space, and the constructive factorization x = phi(f, g).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -219,8 +219,8 @@ def sum_norm(c: Couple, x, *, seed: int = 0, starts: int = 32, iters: int = 200,
         x0 = np.zeros(c.dim) if weak_is_x1 else a
         return NormEstimate(val, val, {"x0": x0.tolist()}, "nested-legs")
 
-    if "linf" in (c.x0.family, c.x1.family):
-        inf_is_x1 = c.x1.family == "linf"
+    if math.isinf(c.x0.p) or math.isinf(c.x1.p):
+        inf_is_x1 = math.isinf(c.x1.p)
         val, capped = _sum_with_linf(c.x0 if inf_is_x1 else c.x1, a)
         x0, x1 = (a - capped, capped) if inf_is_x1 else (capped, a - capped)
         lower = _dual_lower(c, a, x0, x1) if convex else _relaxation_lower(c, a)
@@ -380,7 +380,7 @@ def _oracle_rows(c: Couple, f: InterpolationFunction, rows: np.ndarray
         if len(support) <= 12:
             alpha, beta = f.params if f.family == "plmax" else (1.0, 1.0)
             return ("oracle:plmax",) + _assignment_rows(c, alpha, beta, rows, support)
-    if c.x0.family == "linf" and c.x1.family == "linf":
+    if math.isinf(c.x0.p) and math.isinf(c.x1.p):
         ones = np.ones_like(rows)
         return "oracle:linf-pair", np.max(rows, axis=1) / f.normalization, ones, ones
     return None
@@ -462,123 +462,125 @@ def _batched_inner_bracket(c: Couple, f: InterpolationFunction, a_sup: np.ndarra
         return grid_bracket(probe, us.shape[0], lam_cap, steps)
 
 
-def _batched_dual_lower(c: Couple, f: InterpolationFunction, a_sup: np.ndarray,
-                        support: np.ndarray, los: np.ndarray, his: np.ndarray,
-                        lam_cap: float) -> np.ndarray:
-    """Certified box bound via the Lagrangian dual of the inner knapsack.
-
-    The minimal second witness is the power piece of quasiconcave.power_piece,
-    v_j = max(A c_j, (c_j/coef)^(1/theta) u_j^(-beta)) on u_j >= L c_j with
-    c_j = a_j/lam, so on legs of finite exponent p and q feasibility of a
-    level lam reads
-    min { sum_j w1_j v_j^q : u in box, u_j >= L c_j, sum_j w0_j u_j^p <= 1 } <= 1.
-    Weak duality bounds that minimum from below for every multiplier mu >= 0
-    by separable one-dimensional minimizations, so L(mu) > 1 certifies lam
-    infeasible, convex legs or not.  Each term max(D_j, C_j u^(-alpha))
-    + mu w0_j u^p, alpha = q beta, on [max(lo, L c_j), hi] takes its exact
-    minimum on one of two branches split at u0_j, where the power part meets
-    the constant D_j = w1_j (A c_j)^q: the closed-form stationary point
-    clipped to the interval below u0_j, or the left end above it.  Any split
-    point keeps the bound sound and the exact one keeps it tight; an empty
-    interval makes the term infinite.  mu = 0 recovers the plain corner
-    bound, and the stationarity seed makes the bound tight near the optimum
-    without resolving the feasibility surface geometrically.  Each box
-    reports the low end of the cell of the grid lam_cap j 2^-24
-    (_optim.grid_bracket) where that certificate stops, a level certified
-    infeasible; the largest L(mu) - 1 guides the probes.
-    """
-    th, coef, a_floor, low = power_piece(f)
-    p = c.x0.p
-    q = c.x1.p
-    w0 = c.x0.w[support]
-    w1 = c.x1.w[support]
-    beta = (1.0 - th) / th
-    alpha = q * beta
-    # u0 / c_j, where (c/coef)^(1/theta) u^(-beta) = A c; inf without a floor
-    split = (a_floor * coef ** (1.0 / th)) ** (-1.0 / beta) if a_floor > 0.0 else math.inf
-
-    def probe(rows: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        box_lo, box_hi = los[rows], his[rows]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            cs = a_sup[None, :] / lam[:, None]
-            cj = w1[None, :] * (a_sup[None, :] / (lam[:, None] * coef)) ** (q / th)
-            tail = np.sum(w0[None, :] ** (alpha / (alpha + p))
-                          * (alpha * cj / p) ** (p / (alpha + p)), axis=1)
-            mu_seed = tail ** ((alpha + p) / p)
-            # the 1e-12 keeps rounding in a/lam from emptying a feasible box
-            bottom = np.maximum(box_lo, low * cs * (1.0 - 1e-12))
-            top = np.minimum(box_hi, split * cs)  # the power branch
-            const_at = np.maximum(bottom, split * cs)  # the constant branch
-            power_live = bottom <= top
-            const_live = const_at <= box_hi
-            const_term = w1[None, :] * (a_floor * cs) ** q
-            out = np.zeros(lam.shape[0], dtype=bool)
-            worst = np.full(lam.shape[0], -math.inf)
-            for scale in (0.0, 0.25, 1.0, 4.0):
-                if scale == 0.0:
-                    ustar = top
-                    mu = np.zeros(lam.shape[0])
-                else:
-                    mu = mu_seed * scale
-                    ustar = np.clip((alpha * cj / (mu[:, None] * p * w0[None, :]))
-                                    ** (1.0 / (alpha + p)), bottom, top)
-                hvals = np.minimum(
-                    np.where(power_live,
-                             cj * ustar ** (-alpha) + mu[:, None] * w0[None, :] * ustar ** p,
-                             math.inf),
-                    np.where(const_live,
-                             const_term + mu[:, None] * w0[None, :] * const_at ** p,
-                             math.inf))
-                lag = np.sum(hvals, axis=1) - mu
-                out |= lag > 1.0 + 1e-12
-                worst = np.fmax(worst, lag)  # a nan lag certifies nothing
-            return out, worst - (1.0 + 1e-12)
-
-    return grid_bracket(probe, los.shape[0], lam_cap, 24)[0]
-
-
-_PRUNE_SCALES = np.array([0.0, 0.25, 1.0, 4.0])  # the prune's multipliers mu, in units of q/p
-# cells per box axis: 8 took three times the boxes on harmonic, 32 slowed affinepower
+_MU_SCALES = np.array([0.0, 0.25, 1.0, 4.0])  # every box bound's multipliers, in seed units
+# cells per box axis of the cell terms: 8 took three times the boxes on
+# harmonic, 32 slowed affinepower
 _PRUNE_CELLS = 16
 
 
-def _monotone_terms(c: Couple, f: InterpolationFunction, a: np.ndarray, cols: np.ndarray,
-                    lo: np.ndarray, hi: np.ndarray, tau: float) -> np.ndarray:
-    """Per-axis terms of a Lagrangian box bound at the level tau that rests
-    on the monotonicity of the inverse alone.
+def _multipliers(c: Couple, f: InterpolationFunction, w0: np.ndarray, w1: np.ndarray,
+                 a: np.ndarray, lam) -> np.ndarray:
+    """The multipliers mu of a box's Lagrangian at the level lam, on a
+    trailing axis: _MU_SCALES times q/p, or for a power piece times the
+    stationarity seed, the mu at which the unconstrained per-axis minima
+    spend exactly the unit mass (mu = 0 stays 0 at an infinite seed). The
+    box's axes are the last axis of a / lam."""
+    p = c.x0.p
+    q = c.x1.p
+    piece = power_piece(f)
+    if piece is None:
+        return _MU_SCALES * (q / p)
+    th, coef = piece[:2]
+    alpha = q * ((1.0 - th) / th)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cj = w1 * (a / (lam * coef)) ** (q / th)
+        tail = np.sum(w0 ** (alpha / (alpha + p)) * (alpha * cj / p) ** (p / (alpha + p)),
+                      axis=-1)
+        seed = tail ** ((alpha + p) / p)
+        return np.where(_MU_SCALES > 0.0, seed[..., None] * _MU_SCALES, 0.0)
 
-    Row i is the interval [lo_i, hi_i] of coordinate cols_i of a box. The
-    minimal second witness v(u) = invert_phi(f, u, a_j/tau) is nonincreasing
-    in u for every quasiconcave phi, so on each cell [g_k, g_k+1] of a
-    log-spaced grid of _PRUNE_CELLS cells (the interval's ends exact) the term
-    w1_j v(u)^q + mu w0_j u^p is at least w1_j v(g_k+1)^q + mu w0_j g_k^p.
-    The row's entry for each mu = _PRUNE_SCALES q/p is the least of these
-    over the cells, an (r, 4) array. Weak Lagrangian duality, which needs no
-    convexity, bounds min { sum_j w1_j v_j^q : u in box, sum_j w0_j u_j^p
-    <= 1 } from below by L(mu) = sum_j terms_j(mu) - mu; _monotone_pruned
-    reads the bound off a box's terms. _grid_lower uses it where both legs
-    have a finite exponent and phi has no power piece.
+
+def _lagrangian_terms(c: Couple, f: InterpolationFunction, w0: np.ndarray, w1: np.ndarray,
+                      a: np.ndarray, lam, lo: np.ndarray, hi: np.ndarray,
+                      mus: np.ndarray) -> np.ndarray:
+    """Lower bounds on min { w1 v(u)^q + mu w0 u^p : lo <= u <= hi } per axis
+    interval, one per mu of mus ((k,), or (m, k) for m boxes) on a trailing
+    axis; v(u) = invert_phi(f, u, a/lam) is the minimal second witness.
+
+    Weak Lagrangian duality, which needs no convexity, bounds a box's inner
+    problem at lam, min { sum_j w1_j v_j^q : u in box, sum_j w0_j u_j^p <= 1 },
+    by L(mu) = sum_j term_j(mu) - mu for each mu >= 0 (_lagrangian_margin).
+    A power piece v = max(A c, (c/coef)^(1/theta) u^(-beta)) on u >= L c,
+    c = a/lam, gives exact terms: with alpha = q beta the minimum sits at the
+    stationary point clipped below u0, where the power part meets D = w1 (A
+    c)^q, or at the left end above it; an empty interval gives inf. Else v
+    is nonincreasing in u, and the least of w1 v(g_k+1)^q + mu w0 g_k^p over
+    _PRUNE_CELLS log-spaced cells [g_k, g_k+1] (ends exact) bounds the term.
     """
     p = c.x0.p
     q = c.x1.p
-    t = np.arange(_PRUNE_CELLS + 1) / _PRUNE_CELLS
+    mus = mus[..., None, :]  # broadcast over the axes
+    piece = power_piece(f)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        grid = lo[:, None] * (hi / lo)[:, None] ** t
-        grid[:, 0] = lo
-        grid[:, -1] = hi
-        v = _invert_second_arg(f, grid[:, 1:], (a[cols] / tau)[:, None])
-        cost = c.x1.w[cols][:, None] * v**q
-        mass = c.x0.w[cols][:, None] * grid[:, :-1] ** p
-        mus = _PRUNE_SCALES * (q / p)
-        return np.min(cost[:, None, :] + mus[None, :, None] * mass[:, None, :], axis=2)
+        cs = a / lam
+        if piece is None:
+            t = np.arange(_PRUNE_CELLS + 1) / _PRUNE_CELLS
+            grid = lo[..., None] * (hi / lo)[..., None] ** t
+            grid[..., 0] = lo
+            grid[..., -1] = hi
+            cost = w1[..., None] * _invert_second_arg(f, grid[..., 1:], cs[..., None]) ** q
+            mass = w0[..., None] * grid[..., :-1] ** p
+            return np.min(cost[..., None, :] + mus[..., None] * mass[..., None, :], axis=-1)
+        th, coef, a_floor, low = piece
+        beta = (1.0 - th) / th
+        alpha = q * beta
+        # u0 / c_j, where (c/coef)^(1/theta) u^(-beta) = A c; inf without a floor
+        split = (a_floor * coef ** (1.0 / th)) ** (-1.0 / beta) if a_floor > 0.0 else math.inf
+        cj = w1 * (a / (lam * coef)) ** (q / th)
+        # the 1e-12 keeps rounding in a/lam from emptying a feasible box
+        bottom = np.maximum(lo, low * cs * (1.0 - 1e-12))
+        top = np.minimum(hi, split * cs)  # the power branch
+        const_at = np.maximum(bottom, split * cs)  # the constant branch
+        power_live = bottom <= top
+        const_live = const_at <= hi
+        const_term = w1 * (a_floor * cs) ** q
+        const_mass = const_at ** p
+        terms = []
+        for i in range(mus.shape[-1]):
+            mu = mus[..., i]
+            # mu = 0 leaves the power branch decreasing, with its minimum at the top
+            ustar = (np.clip((alpha * cj / (mu * p * w0)) ** (1.0 / (alpha + p)), bottom, top)
+                     if mu.any() else top)
+            terms.append(np.minimum(
+                np.where(power_live, cj * ustar ** (-alpha) + mu * w0 * ustar ** p, math.inf),
+                np.where(const_live, const_term + mu * w0 * const_mass, math.inf)))
+        return np.stack(terms, axis=-1)
 
 
-def _monotone_pruned(c: Couple, terms: np.ndarray) -> np.ndarray:
-    """Which boxes, given their (m, s, 4) axis terms from _monotone_terms,
-    hold no feasible witness at that level: some L(mu) exceeds one, with the
-    1e-12 slack of _batched_dual_lower. A nan term certifies nothing."""
-    lag = np.sum(terms, axis=1) - _PRUNE_SCALES * (c.x1.p / c.x0.p)
-    return np.any(lag > 1.0 + 1e-12, axis=1)
+def _lagrangian_margin(terms: np.ndarray, mus: np.ndarray) -> np.ndarray:
+    """max over mu of L(mu) - (1 + 1e-12) for boxes given their (..., s, k)
+    axis terms from _lagrangian_terms: positive where the level is proved
+    infeasible on the box. A nan L(mu) certifies nothing."""
+    # over these few axes and multipliers, loops beat numpy's reductions
+    lag = terms[..., 0, :]
+    for j in range(1, terms.shape[-2]):
+        lag = lag + terms[..., j, :]
+    with np.errstate(invalid="ignore"):
+        lag = lag - mus
+    worst = np.full(lag.shape[:-1], -math.inf)
+    for i in range(lag.shape[-1]):
+        worst = np.fmax(worst, lag[..., i])
+    return worst - (1.0 + 1e-12)
+
+
+def _graded_lower(c: Couple, f: InterpolationFunction, a_sup: np.ndarray,
+                  support: np.ndarray, los: np.ndarray, his: np.ndarray,
+                  lam_cap: float) -> np.ndarray:
+    """Each box's Lagrangian bound graded by level: the low end of the
+    _optim.grid_bracket cell of the grid lam_cap j 2^-24 where the margin
+    stops being positive. The closed-form terms of a power piece are cheap
+    enough to take at every probe."""
+    w0 = c.x0.w[support]
+    w1 = c.x1.w[support]
+
+    def probe(rows: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lam = lam[:, None]
+        mus = _multipliers(c, f, w0, w1, a_sup, lam)
+        margin = _lagrangian_margin(
+            _lagrangian_terms(c, f, w0, w1, a_sup, lam, los[rows], his[rows], mus), mus)
+        return margin > 0.0, margin
+
+    return grid_bracket(probe, los.shape[0], lam_cap, 24)[0]
 
 
 def _reduce_box_tops(spec: lat.LatticeSpec, los: np.ndarray, his: np.ndarray,
@@ -615,16 +617,13 @@ def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray,
     a true lower bound for every feasible witness.  The first leg has a
     finite exponent: cl_norm bounds an l-infinity first leg at u = 1 from
     its own bracket.  On two legs of finite exponent, a box the corner
-    bound leaves below tau is bounded once more through the Lagrangian dual
-    of its inner problem.  Where the inverse of phi in its second argument
-    is one power piece (quasiconcave.power_piece: power, cappedpower and
-    mirror(cappedpower), for 0 < theta < 1), its bound is raised to
-    _batched_dual_lower.  For every other function, the bound becomes tau
-    where the monotone bound of _monotone_terms certifies tau infeasible on
-    the whole box, which prunes the box; a child box recomputes those terms
-    only on the axes where its interval differs from its parent's.  Each
-    pass splits the 2048 boxes with the weakest bounds.  The search stops
-    unconverged after _BOX_BUDGET boxes.
+    bound leaves below tau also gets a Lagrangian bound (_lagrangian_terms):
+    graded by level where phi's inverse is a power piece (_graded_lower),
+    else probed once at tau, where a positive _lagrangian_margin prunes the
+    box.  A child recomputes those cell terms only on the axes where its
+    interval differs from its parent's.  Each pass splits the 2048 boxes
+    with the weakest bounds, and the search stops unconverged after
+    _BOX_BUDGET boxes.
     """
     support = np.flatnonzero(a)
     if support.size == 0:
@@ -646,33 +645,35 @@ def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray,
     def bracket(us_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _batched_inner_bracket(c, f, a_sup, support, us_rows, lam_cap)
 
-    # both Lagrangian bounds sum powers of the legs' entries
+    # the Lagrangian sums powers of both legs' entries
     finite = math.isfinite(c.x0.p) and math.isfinite(c.x1.p)
-    use_dual = finite and power_piece(f) is not None
-    use_prune = finite and power_piece(f) is None
+    graded = power_piece(f) is not None
+    w0 = c.x0.w[support]
+    w1 = c.x1.w[support]
 
     def box_bounds(lo_rows: np.ndarray, hi_rows: np.ndarray, corner_vals: np.ndarray,
                    terms: np.ndarray, stale: np.ndarray) -> np.ndarray:
-        # the dual only matters for boxes the corner bound leaves open
+        # the Lagrangian only matters for boxes the corner bound leaves open
         weak = corner_vals < tau
-        if not (use_dual or use_prune) or not np.any(weak):
+        if not finite or not np.any(weak):
             return corner_vals
         out = corner_vals.copy()
-        if use_dual:
-            out[weak] = np.maximum(corner_vals[weak], _batched_dual_lower(
+        if graded:
+            out[weak] = np.maximum(corner_vals[weak], _graded_lower(
                 c, f, a_sup, support, lo_rows[weak], hi_rows[weak], lam_cap))
         else:
             # a box shares the terms of its parent's axes that did not change
             rows, axes = np.nonzero(stale & weak[:, None])
-            terms[rows, axes] = _monotone_terms(c, f, a, support[axes], lo_rows[rows, axes],
-                                                hi_rows[rows, axes], tau)
-            out[np.flatnonzero(weak)[_monotone_pruned(c, terms[weak])]] = tau
+            mus = _multipliers(c, f, w0, w1, a_sup, tau)
+            terms[rows, axes] = _lagrangian_terms(c, f, w0[axes], w1[axes], a_sup[axes], tau,
+                                                  lo_rows[rows, axes], hi_rows[rows, axes], mus)
+            out[np.flatnonzero(weak)[_lagrangian_margin(terms[weak], mus) > 0.0]] = tau
         return out
 
     los = floor[None, :].copy()
     his = _reduce_box_tops(c.x0, los, caps[0][None, :].copy(), support)
-    # each box's per-axis terms of the monotone prune, filled where it runs
-    terms = np.zeros(los.shape + (len(_PRUNE_SCALES) if use_prune else 0,))
+    # each box's per-axis cell terms, filled where they are probed
+    terms = np.zeros(los.shape + (0 if graded or not finite else len(_MU_SCALES),))
     bounds = box_bounds(los, his, bracket(his)[0], terms, np.ones(los.shape, dtype=bool))
     evaluated = 1
     settled = math.inf
@@ -750,6 +751,18 @@ def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray,
     return min(lower, upper), info
 
 
+def _witness_fault(c: Couple, f: InterpolationFunction, a: np.ndarray, u: np.ndarray,
+                   v: np.ndarray, lam: float) -> str | None:
+    """Why the witness (u, v, lam) fails its arithmetic re-check, or None:
+    lam phi(u, v) must dominate a, and u and v must lie in the unit balls,
+    each to a relative 1e-12."""
+    if not np.all(a <= lam * eval_phi(f, u, v) * (1.0 + 1e-12) + 1e-300):
+        return "witness fails to dominate x"
+    if not (lat.norm(c.x0, u) <= 1.0 + 1e-12 and lat.norm(c.x1, v) <= 1.0 + 1e-12):
+        return "witness escaped the unit balls"
+    return None
+
+
 def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
             seed: int = 0, starts: int = 32, iters: int = 200,
             tol: float = 1e-9, certify_lower: bool = True) -> NormEstimate:
@@ -782,16 +795,17 @@ def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
     "grid-certified", grid info one box). Other couples with at most four
     nonzero coordinates take it from the branch-and-bound certificate (flag
     "grid-certified"); otherwise the lower bound is 0 ("heuristic-lower").
-    On legs of finite exponent each box is also bounded through the
-    Lagrangian dual of its inner problem. Where the inverse of phi in its
-    second argument is one power piece (power, cappedpower and
-    mirror(cappedpower), 0 < theta < 1) that bound is exact per coordinate
-    and the certificate usually closes in one box. Every other family
-    (harmonic, sum, affinepower, hull, ...) gets a weaker bound from the
-    monotonicity of the inverse alone, which prunes whole boxes: harmonic on
-    lp:1:4|lp:0.5:4 closes in about 3k boxes instead of 150k. An l-infinity
-    second leg keeps the box corners alone. Flag "budget-exhausted" means
-    the box budget ran out, which leaves the bound sound but looser.
+    On legs of finite exponent each box also gets a Lagrangian bound (see
+    _grid_lower). Where the inverse of phi in its second argument is one
+    power piece (power, cappedpower and mirror(cappedpower), 0 < theta < 1)
+    it is exact per coordinate and the certificate usually closes in one
+    box. Every other family (harmonic, sum, affinepower, hull, ...) gets a
+    weaker bound from the monotonicity of the inverse alone, which prunes
+    whole boxes: harmonic on lp:1:4|lp:0.5:4 closes in about 3k boxes
+    instead of 150k. An l-infinity second leg keeps the box corners alone.
+    Flag "budget-exhausted" means the box budget ran out, which leaves the
+    bound sound but looser. A box corner that beats the witness replaces it
+    after the same arithmetic re-check (_witness_fault).
     """
     a = _absx(c, x)
     if not np.any(a > 0):
@@ -835,7 +849,7 @@ def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
 
     # an l-infinity first leg: the ball has a largest element, u = 1, so the
     # outer infimum sits there and the seed row is all the search scores
-    linf = c.x0.family == "linf"
+    linf = math.isinf(c.x0.p)
     seed_u = np.ones(s) if linf else a_sup / lat.norm(c.x0, a)
     # normalization only shifts log u along (1, ..., 1), so un-normalized
     # incumbents draw the same normalized rows
@@ -857,12 +871,9 @@ def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
     u[support] = u_best
     v[support] = _invert_second_arg(f, u_best, a_sup / upper)
 
-    # arithmetic re-verification of the returned witness
-    vals = eval_phi(f, u, v)
-    if not np.all(a <= upper * vals * (1.0 + 1e-12) + 1e-300):
-        raise SolverError("witness fails to dominate x", (upper, None))
-    if lat.norm(c.x0, u) > 1.0 + 1e-12 or lat.norm(c.x1, v) > 1.0 + 1e-12:
-        raise SolverError("witness escaped the unit balls", (upper, None))
+    fault = _witness_fault(c, f, a, u, v, upper)
+    if fault is not None:
+        raise SolverError(fault, (upper, None))
 
     if certify_lower and linf:
         # u = 1 attains the outer infimum, so the low end of its bracket is
@@ -881,9 +892,7 @@ def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
             u2[support] = cand["u"]
             v2[support] = cand["v"]
             lam2 = float(cand["lam"])
-            ok = np.all(a <= lam2 * eval_phi(f, u2, v2) * (1.0 + 1e-12) + 1e-300)
-            if (ok and lat.norm(c.x0, u2) <= 1.0 + 1e-12
-                    and lat.norm(c.x1, v2) <= 1.0 + 1e-12):
+            if _witness_fault(c, f, a, u2, v2, lam2) is None:
                 upper, u, v = lam2, u2, v2
         lower = min(lower, upper)
         # the bound stays sound when the box budget runs out, only looser

@@ -477,7 +477,7 @@ def k_constant(
     e0 = np.zeros(x.dim)
     e0[0] = 1.0
     witness: dict = {"xs": [e0.tolist()], "ratio": 1.0, "inner": "singleton"}
-    if x.family == "linf":
+    if math.isinf(x.p):
         # aligning signs with the maximizing coordinate caps the quotient at one
         return NormEstimate(1.0, 1.0, witness, "oracle:sup-aligned")
     convex = _is_convex(x)

@@ -551,6 +551,19 @@ class TestClNormOptimizer:
         assert est.flags == ("grid-certified", "budget-exhausted")
         assert 0.0 < est.lower <= est.upper <= est.lower * (1.0 + 1e-3)
 
+    def test_witness_fault_names_the_failed_check(self):
+        # one re-check serves the returned witness and an adopted box corner
+        c = cp.parse_couple("lp:1:2|lp:2:2")
+        f = qc.power(0.5)
+        x = np.array([0.6, 0.3])
+        est = cp.cl_norm(c, f, x, method="optimize")
+        u, v = np.array(est.witness["u"]), np.array(est.witness["v"])
+        assert cp._witness_fault(c, f, x, u, v, est.upper) is None
+        assert cp._witness_fault(c, f, x, u, v, 0.5 * est.upper) == "witness fails to dominate x"
+        # phi is homogeneous, so the doubled pair still dominates at half the level
+        assert (cp._witness_fault(c, f, x, 2.0 * u, 2.0 * v, 0.5 * est.upper)
+                == "witness escaped the unit balls")
+
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_power_search_properties(self, data):
@@ -728,7 +741,7 @@ class TestDualBound:
             los = caps * rng.uniform(0.02, 0.6, (6, s)) / s
             his = np.minimum(los * np.exp(rng.uniform(0.1, 3.0, (6, s))), caps)
             lam_cap = 100.0 * cp.intersection_norm(c, a) / f.normalization
-            bounds = cp._batched_dual_lower(c, f, a, support, los, his, lam_cap)
+            bounds = cp._graded_lower(c, f, a, support, los, his, lam_cap)
             assert np.all(bounds > 0.0)
             per_axis = {1: 2000, 2: 90, 3: 20}[s]
             for lo, hi, bound in zip(los, his, bounds):
@@ -844,8 +857,9 @@ class TestMonotonePrune:
         best = float(np.min(inner))
         assume(math.isfinite(best))
         # each axis term lies below its Lagrangian term at every u of the axis
-        mus = cp._PRUNE_SCALES * (c.x1.p / c.x0.p)
-        terms = cp._monotone_terms(c, f, a, support, lo, hi, best)
+        w0, w1 = c.x0.w, c.x1.w
+        mus = cp._multipliers(c, f, w0, w1, a, best)
+        terms = cp._lagrangian_terms(c, f, w0, w1, a, best, lo, hi, mus)
         for j in range(s):
             u = np.geomspace(lo[j], hi[j], 2000)
             v = cp._invert_second_arg(f, u, np.full(u.shape, a[j] / best))
@@ -853,8 +867,8 @@ class TestMonotonePrune:
             assert np.all(terms[j] <= np.min(lag, axis=1) * (1.0 + 1e-12))
 
         def pruned(tau):
-            box_terms = cp._monotone_terms(c, f, a, support, lo, hi, tau)
-            return cp._monotone_pruned(c, box_terms[None])[0]
+            box_terms = cp._lagrangian_terms(c, f, w0, w1, a, tau, lo, hi, mus)
+            return cp._lagrangian_margin(box_terms, mus) > 0.0
 
         # the prune is monotone in the level; bisect for the highest level it
         # proves infeasible, where an unsound bound would first show
@@ -882,27 +896,53 @@ class TestMonotonePrune:
             assert est.witness["grid"]["boxes"] <= most
             assert 0.0 < est.lower <= est.upper <= est.lower * (1.0 + 1e-3)
 
-    @pytest.mark.parametrize("couple, phi, runs", [
-        ("lp:1:3|lp:2:3", qc.harmonic(), True),
+    @pytest.mark.parametrize("couple, phi, policy", [
+        # a phi without a power piece probes its cell terms once, at tau
+        ("lp:1:3|lp:2:3", qc.harmonic(), "probed"),
         # the Lagrangian sums powers of both legs' entries, so an l-infinity
         # leg keeps its box corners alone
-        ("lp:1:3|linf:3", qc.harmonic(), False),
-        # a power piece takes the exact dual bound instead
-        ("lp:1:3|lp:2:3", qc.capped_power(0.5), False),
+        ("lp:1:3|linf:3", qc.harmonic(), None),
+        # a power piece grades its closed-form terms by level
+        ("lp:1:3|lp:2:3", qc.capped_power(0.5), "graded"),
     ], ids=["harmonic", "linf-leg", "power-piece"])
-    def test_where_the_prune_runs(self, couple, phi, runs):
-        calls = []
-        terms = cp._monotone_terms
+    def test_where_the_prune_runs(self, couple, phi, policy):
+        levels = []
+        graded = []
+        terms, grade = cp._lagrangian_terms, cp._graded_lower
 
-        def counted(*args, **kwargs):
-            calls.append(1)
+        def counted_terms(*args, **kwargs):
+            levels.append(args[5])
             return terms(*args, **kwargs)
 
+        def counted_grade(*args, **kwargs):
+            graded.append(1)
+            return grade(*args, **kwargs)
+
         x = np.random.default_rng(0).uniform(0.1, 2.0, 3)
-        with mock.patch.object(cp, "_monotone_terms", counted):
+        with mock.patch.object(cp, "_lagrangian_terms", counted_terms), \
+                mock.patch.object(cp, "_graded_lower", counted_grade):
             est = cp.cl_norm(cp.parse_couple(couple), phi, x, method="optimize")
         assert "grid-certified" in est.flags
-        assert bool(calls) is runs
+        assert bool(graded) is (policy == "graded")
+        assert bool(levels) is (policy is not None)
+        # the probed policy takes every term at the one level tau
+        probed = [lam for lam in levels if np.ndim(lam) == 0]
+        assert len(probed) == (len(levels) if policy == "probed" else 0)
+        assert len(set(probed)) <= 1
+
+    def test_graded_bound_on_a_power_piece(self):
+        # with tau above the true value no box is pruned, and the lower bound
+        # is the boxes' Lagrangian bound graded by level. Probed only at tau,
+        # as the cell terms are, the power piece stops at a gap of 1.7e-5
+        c = cp.parse_couple("lp:2:2|lp:2:2")
+        f = qc.power(0.75)
+        x = np.random.default_rng(0).uniform(0.1, 2.0, 2)
+        exact = cp.cl_norm(c, f, x)
+        assert exact.method == "oracle:power"
+        lower, info = cp._grid_lower(c, f, x, exact.upper * (1.0 + 2e-3))
+        assert info["converged"] is True
+        assert lower <= exact.upper
+        assert (exact.upper - lower) / exact.upper <= 1e-6
 
 
 class TestEquivalence:

@@ -256,7 +256,7 @@ def test_dual_lower_matches_the_bisection(family, data):
     los = caps * rng.uniform(0.02, 0.6, (8, d)) / d
     his = np.minimum(los * np.exp(rng.uniform(0.1, 3.0, (8, d))), caps)
     cap = cp.intersection_norm(c, a) / f.normalization * data.draw(st.floats(0.3, 100.0))
-    got = cp._batched_dual_lower(c, f, a, support, los, his, cap)
+    got = cp._graded_lower(c, f, a, support, los, his, cap)
     with mock.patch.object(cp, "grid_bracket", _reference_grid):
-        want = cp._batched_dual_lower(c, f, a, support, los, his, cap)
+        want = cp._graded_lower(c, f, a, support, los, his, cap)
     np.testing.assert_array_equal(got, want)
