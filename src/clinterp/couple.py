@@ -331,7 +331,9 @@ def _oracle_rows(c: Couple, f: InterpolationFunction, rows: np.ndarray
     - power on (weighted) lp legs: with 1/r = (1-theta)/p0 + theta/p1 and
       the matching weight product, the weighted r-norm over coef; Holder in
       one direction and the explicit witness in the other make it exact for
-      every exponent range. Two l-infinity legs give max x / coef.
+      every exponent range. Where 1/r = 0 (theta 0 or 1 on an l-infinity
+      leg, or two l-infinity legs) it is max x / coef, with witness 1 on an
+      l-infinity leg and 0 on a finite one, whose share of the exponent is 0.
     - plmax(alpha, beta) and max = plmax(1, 1): each coordinate is served by
       one leg, so minimize max(||x'||_X0/alpha, ||x''||_X1/beta) over the
       assignments of the union support to the legs (cube corners, bit i
@@ -341,16 +343,18 @@ def _oracle_rows(c: Couple, f: InterpolationFunction, rows: np.ndarray
       assignment is finite.
     - any other function on two l-infinity legs: max x / phi(1, 1).
 
-    A zero row has lam = 0. The root of the power form uses Python's float
-    pow row by row, which keeps its values bit-identical across releases:
-    numpy's vectorized power differs from it in the last bit for about one
-    value in twenty. min takes lattice.norm row by row for the same reason,
-    as a matrix-vector norm_rows differs from its np.dot in the last bit.
+    A zero row has lam = 0. The root of the power form is np.float_power,
+    which rounds as Python's float pow does and so keeps its values
+    bit-identical across releases: numpy's SIMD power differs from it in
+    the last bit for about one value in twenty. min scores the whole block
+    with one lattice.norm_rows per leg, whose row values do not depend on
+    the block.
     """
     if f.normalization == 0.0:
         return None
     if f.family == "min":
-        norms = np.array([[lat.norm(spec, row) for spec in (c.x0, c.x1)] for row in rows])
+        cols = np.arange(c.dim)
+        norms = np.stack([lat.norm_rows(spec, rows, cols) for spec in (c.x0, c.x1)], axis=1)
         lam = np.max(norms, axis=1)
         safe = np.where(norms > 0.0, norms, 1.0)
         return "oracle:min-intersection", lam, rows / safe[:, :1], rows / safe[:, 1:]
@@ -361,12 +365,15 @@ def _oracle_rows(c: Couple, f: InterpolationFunction, rows: np.ndarray
         inv_r = e0 + e1
         ones = np.ones_like(rows)
         if inv_r == 0.0:
-            return "oracle:linf-pair", np.max(rows, axis=1) / coef, ones, ones
+            pair = math.isinf(c.x0.p) and math.isinf(c.x1.p)
+            wits = [ones if math.isinf(leg.p) else np.zeros_like(rows) for leg in (c.x0, c.x1)]
+            kind = "oracle:linf-pair" if pair else "oracle:power"
+            return kind, np.max(rows, axis=1) / coef, wits[0], wits[1]
         r = 1.0 / inv_r
         # an l-infinity leg has exponent e = 0, so its weights drop out
         mass = c.x0.w ** (r * e0) * c.x1.w ** (r * e1) * rows**r
         total = np.sum(mass, axis=1)
-        lam = np.array([t ** (1.0 / r) for t in total.tolist()]) / coef
+        lam = np.float_power(total, 1.0 / r) / coef
         wits = []
         for leg in (c.x0, c.x1):
             if math.isfinite(leg.p):
@@ -601,7 +608,7 @@ _BOX_BUDGET = 262_144  # boxes _grid_lower may evaluate before it stops unconver
 
 
 def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray,
-                upper: float) -> tuple[float, dict] | None:
+                upper: float) -> tuple[float, dict]:
     """Certified lower bound by branch-and-bound over the first witness.
 
     The inner value for fixed u is nonincreasing in u, so a box's upper
@@ -623,13 +630,10 @@ def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray,
     box.  A child recomputes those cell terms only on the axes where its
     interval differs from its parent's.  Each pass splits the 2048 boxes
     with the weakest bounds, and the search stops unconverged after
-    _BOX_BUDGET boxes.
+    _BOX_BUDGET boxes.  x is nonzero and upper finite and positive, as
+    cl_norm guarantees.
     """
     support = np.flatnonzero(a)
-    if support.size == 0:
-        return 0.0, {"boxes": 0, "converged": True}
-    if not math.isfinite(upper) or upper <= 0.0:
-        return None
     a_sup = a[support]
     # the largest admissible coordinate of each leg, 1/||e_j||
     caps = 1.0 / np.stack([spec.w[support] ** (1.0 / spec.p) for spec in (c.x0, c.x1)])
@@ -677,13 +681,9 @@ def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray,
     bounds = box_bounds(los, his, bracket(his)[0], terms, np.ones(los.shape, dtype=bool))
     evaluated = 1
     settled = math.inf
-    converged = False
     group = 2048
     best_corner: tuple[float, np.ndarray] | None = None
-    while evaluated < _BOX_BUDGET:
-        if bounds.shape[0] == 0 or float(np.min(bounds)) >= tau:
-            converged = True
-            break
+    while evaluated < _BOX_BUDGET and bounds.shape[0] and float(np.min(bounds)) < tau:
         # refine the boxes with the weakest bounds; they limit the result
         if bounds.shape[0] > group:
             pick = np.argpartition(bounds, group)[:group]
@@ -738,8 +738,7 @@ def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray,
             los, his, bounds, terms = (np.concatenate(pair) for pair in zip(keep, kids))
         else:
             los, his, bounds, terms = keep
-    else:
-        converged = bounds.shape[0] == 0 or float(np.min(bounds)) >= tau
+    converged = bounds.shape[0] == 0 or float(np.min(bounds)) >= tau
     active_min = float(np.min(bounds)) if bounds.shape[0] else math.inf
     lower = min(active_min, settled, tau)
     info = {"boxes": evaluated, "converged": converged}

@@ -133,25 +133,43 @@ def _entries(x) -> np.ndarray:
 
 
 def norm(space: LatticeSpec, x) -> float:
-    """The quasi-norm (sum_j w_j |x_j|^p)^(1/p), or max_j |x_j| for p = inf."""
+    """The quasi-norm (sum_j w_j |x_j|^p)^(1/p), or max_j |x_j| for p = inf,
+    from the one kernel that norm_rows also calls."""
     arr = _entries(x)
     if isinstance(x, LatticeVector) and x.space.dim != space.dim:
         raise DomainError("vector belongs to a lattice of different dimension")
     if arr.shape != (space.dim,):
         raise DomainError(f"expected {space.dim} entries, got {arr.shape}")
-    a = np.abs(arr)
-    if math.isinf(space.p):
-        return float(a.max())
-    return float(np.dot(space.w, a**space.p) ** (1.0 / space.p))
+    return float(_quasinorm(space.p, np.abs(arr), space.w))
 
 
 def norm_rows(space: LatticeSpec, rows: np.ndarray, support: np.ndarray) -> np.ndarray:
     """The quasi-norm of each row of a 2-D array whose columns are the
-    coordinates listed in support, every other coordinate being zero."""
-    a = np.abs(rows)
-    if math.isinf(space.p):
-        return a.max(axis=1)
-    return (a**space.p @ space.w[support]) ** (1.0 / space.p)
+    coordinates listed in support, every other coordinate being zero.
+
+    Each row is summed exactly as norm sums one vector, so a row's value,
+    to the last bit, does not depend on the other rows in the call; on a
+    full support it equals norm of that row."""
+    return _quasinorm(space.p, np.abs(rows), space.w[support])
+
+
+def _quasinorm(p: float, a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(sum_j w_j a_j^p)^(1/p) along the last axis of a >= 0, or its max for
+    p = inf, each row summed and rooted exactly as one vector alone.
+
+    np.vecdot makes one dot call per C-contiguous row, the call np.dot makes
+    for one vector; a matrix-vector product blocks the rows, and a strided
+    row takes another dot kernel, so either would let the last bit of a row
+    depend on the rest of the array. Every root is the C library's pow:
+    ** on the numpy scalar of one sum, np.float_power on an array of sums.
+    numpy's SIMD power of an array differs from it in the last bit for
+    about one value in twenty, and the ufunc costs a single sum as much as
+    the rest of norm.
+    """
+    if math.isinf(p):
+        return a.max(axis=-1)
+    sums = np.vecdot(np.power(a, p, order="C"), w)
+    return sums ** (1.0 / p) if sums.ndim == 0 else np.float_power(sums, 1.0 / p)
 
 
 def dual_norm(space: LatticeSpec, y: np.ndarray) -> np.ndarray:
@@ -168,7 +186,7 @@ def dual_norm(space: LatticeSpec, y: np.ndarray) -> np.ndarray:
     q = 1.0 if math.isinf(space.p) else space.p / (space.p - 1.0)
     # sum_j w_j r_j^q scaled by the largest ratio, so large q cannot overflow
     scale = np.where(top > 0.0, top, 1.0)[..., None]
-    return top * ((r / scale) ** q @ space.w) ** (1.0 / q)
+    return top * _quasinorm(q, r / scale, space.w)
 
 
 def abs_vector(x: LatticeVector) -> LatticeVector:

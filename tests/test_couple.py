@@ -397,12 +397,28 @@ class TestClNormOracles:
             assert lam == pytest.approx(est.upper, rel=1e-15, abs=0.0)
             if est.method == "zero" or not math.isfinite(est.upper):
                 continue
+            # every witness lies in the unit balls and dominates its row
+            assert cp._witness_fault(c, f, row, u, v, lam) is None
             assert method == est.method
             assert u == pytest.approx(np.asarray(est.witness["u"]), rel=1e-15, abs=0.0)
             assert v == pytest.approx(np.asarray(est.witness["v"]), rel=1e-15, abs=0.0)
         # a single row scores exactly as cl_norm does
         one = cp._oracle_rows(c, f, rows[:1])[1][0]
         assert one == cp.cl_norm(c, f, rows[0], method="oracle").upper
+
+    @pytest.mark.parametrize("couple, theta", [("lp:1:2|linf:2", 1.0), ("linf:2|lp:2:2", 0.0),
+                                               ("wlp:0.5:2:1,3|linf:2", 1.0)])
+    def test_power_on_an_linf_leg_alone(self, couple, theta):
+        # theta puts the whole exponent on the l-infinity leg: the value is
+        # max x / coef, the finite leg's witness 0 and the other's 1
+        c = cp.parse_couple(couple)
+        x = np.array([1.0, 2.0])
+        est = cp.cl_norm(c, qc.power(theta, 2.0), x, method="oracle")
+        assert est.method == "oracle:power" and est.upper == 1.0
+        u, v = np.asarray(est.witness["u"]), np.asarray(est.witness["v"])
+        assert cp._witness_fault(c, qc.power(theta, 2.0), x, u, v, est.upper) is None
+        assert (u.tolist(), v.tolist()) == (([0.0] * 2, [1.0] * 2) if theta else
+                                            ([1.0] * 2, [0.0] * 2))
 
     def test_no_closed_form_rows(self):
         # no closed form for harmonic on a mixed couple, nor for an
@@ -943,6 +959,21 @@ class TestMonotonePrune:
         assert info["converged"] is True
         assert lower <= exact.upper
         assert (exact.upper - lower) / exact.upper <= 1e-6
+
+    def test_a_box_corner_that_beats_the_search_is_adopted(self):
+        # with no search rounds the seed's upper bound is loose, and a
+        # feasible box corner of the certificate replaces its witness
+        c = cp.parse_couple("lp:1:2|lp:2:2")
+        f = qc.harmonic()
+        x = np.random.default_rng(2).uniform(0.1, 2.0, 2)
+        kw = dict(method="optimize", starts=1, iters=0)
+        searched = cp.cl_norm(c, f, x, certify_lower=False, **kw)
+        est = cp.cl_norm(c, f, x, **kw)
+        assert "grid-certified" in est.flags
+        assert est.lower <= est.upper < searched.upper
+        assert est.witness["lam"] == est.upper
+        u, v = np.asarray(est.witness["u"]), np.asarray(est.witness["v"])
+        assert cp._witness_fault(c, f, x, u, v, est.upper) is None
 
 
 class TestEquivalence:

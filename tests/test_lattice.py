@@ -53,6 +53,19 @@ def _layer_cake_norm(p: float, n: int, x) -> float:
     return pathology.lp_norm_simple(pathology.PathologySpace(n, p), layers)
 
 
+def _drawn_space(data):
+    d = data.draw(st.integers(1, 24))
+    family = data.draw(st.sampled_from(["lp", "wlp", "sub", "linf"]))
+    if family == "linf":
+        return linf(d)
+    if family == "sub":
+        return submeasure_lp(data.draw(st.floats(0.2, 0.95)), d)
+    p = data.draw(st.floats(0.25, 8.0))
+    if family == "lp":
+        return lp(p, d)
+    return weighted_lp(p, d, data.draw(st.lists(st.floats(0.25, 4.0), min_size=d, max_size=d)))
+
+
 class TestNorms:
     def test_l1(self):
         assert norm(lp(1.0, 2), [3.0, -4.0]) == pytest.approx(7.0)
@@ -131,9 +144,47 @@ class TestNorms:
         for row, value in zip(rows, norm_rows(space, rows, support)):
             full = np.zeros(space.dim)
             full[support] = row
-            assert value == pytest.approx(norm(space, full), rel=1e-12, abs=1e-300)
+            # the zeros off a partial support may change the dot's blocking
+            if len(support) == space.dim:
+                assert value == norm(space, full)
+            else:
+                assert value == pytest.approx(norm(space, full), rel=1e-12, abs=1e-300)
             assert norm(space, lam * full) == pytest.approx(
                 lam * value, rel=1e-12, abs=1e-300)
+
+    def test_norm_is_norm_rows_of_one_row(self):
+        # one kernel: equal bits at exponents whose roots a SIMD power of an
+        # array and the scalar power may round apart
+        rng = np.random.default_rng(31)
+        for p in (0.3, 0.7, 1.3, 2.3, 3.7):
+            spaces = [lp(p, 5), weighted_lp(p, 5, rng.uniform(0.25, 4.0, 5))]
+            if p < 1.0:
+                spaces.append(submeasure_lp(p, 5))
+            for space in spaces:
+                rows = rng.uniform(0.0, 3.0, (200, 5))
+                want = [norm(space, row) for row in rows]
+                assert norm_rows(space, rows, np.arange(5)).tolist() == want
+                assert [norm_rows(space, row[None, :], np.arange(5))[0]
+                        for row in rows] == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_norm_rows_do_not_depend_on_the_batch(self, data):
+        # a row's value, to the last bit, is the same alone, in any
+        # sub-batch, in any order and in either memory layout
+        space = _drawn_space(data)
+        support = np.flatnonzero(data.draw(
+            st.lists(st.booleans(), min_size=space.dim, max_size=space.dim)
+            .filter(any)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        rows = rng.uniform(0.0, 3.0, (data.draw(st.integers(1, 64)), len(support)))
+        batch = norm_rows(space, rows, support)
+        order = np.array(data.draw(st.permutations(range(len(rows)))))
+        pick = order[: data.draw(st.integers(1, len(rows)))]
+        np.testing.assert_array_equal(norm_rows(space, rows[pick], support), batch[pick])
+        np.testing.assert_array_equal(norm_rows(space, np.asfortranarray(rows), support), batch)
+        alone = [norm_rows(space, row[None, :], support)[0] for row in rows]
+        assert alone == batch.tolist()
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
