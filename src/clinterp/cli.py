@@ -96,9 +96,12 @@ def _run_checks(thunks, workers: int):
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.asarray([float(p) for p in text.replace(",", " ").split()], dtype=float)
+        x = np.asarray([float(p) for p in text.replace(",", " ").split()], dtype=float)
     except ValueError as exc:
         raise DescriptorError(f"bad vector {text!r}") from exc
+    if not np.all(np.isfinite(x)):
+        raise DescriptorError(f"vector entries must be finite: {text!r}")
+    return x
 
 
 def _load_matrix(text: str) -> np.ndarray:

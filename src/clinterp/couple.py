@@ -83,6 +83,8 @@ def _absx(c: Couple, x) -> np.ndarray:
     arr = x.entries if isinstance(x, lat.LatticeVector) else np.asarray(x, dtype=float)
     if arr.shape != (c.dim,):
         raise DomainError(f"expected {c.dim} entries, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("vector entries must be finite")
     return np.abs(arr)
 
 
@@ -1174,6 +1176,17 @@ def factorize(c: Couple, f: InterpolationFunction, x, *, seed: int = 0,
     return _factorize_core(c, f, a, seed, starts, iters)
 
 
+def _dyadic(ok, start: float, factor: float, failure: str) -> float:
+    """The first of start, start * factor, start * factor^2, ... (400 steps)
+    where ok holds; SolverError(failure) when none does."""
+    value = start
+    for _ in range(400):
+        if ok(value):
+            return value
+        value *= factor
+    raise SolverError(failure)
+
+
 def _factorize_core(c: Couple, f: InterpolationFunction, a: np.ndarray,
                     seed: int, starts: int, iters: int) -> tuple:
     if not math.isfinite(f.slope_sup) and not math.isfinite(f.phi1_sup):
@@ -1197,41 +1210,20 @@ def _factorize_core(c: Couple, f: InterpolationFunction, a: np.ndarray,
     u = np.asarray(est.witness["u"]) * lam
     v = np.asarray(est.witness["v"]) * lam
 
-    modulus1 = c.x1.modulus_constant
-    delta = 1.0
-    for _ in range(400):
-        if lat.norm(c.x1, np.maximum(v, delta * a)) < modulus1:
-            break
-        delta *= 0.5
-    else:
-        raise SolverError("no dyadic delta keeps v against the modulus bound")
-    n_big = 1.0
-    for _ in range(400):
-        if float(eval_phi(f, n_big, delta)) >= 1.0:
-            break
-        n_big *= 2.0
-    else:
-        raise SolverError("phi(N, delta) never reached 1; slope side too flat")
+    delta = _dyadic(lambda d: lat.norm(c.x1, np.maximum(v, d * a)) < c.x1.modulus_constant,
+                    1.0, 0.5, "no dyadic delta keeps v against the modulus bound")
+    n_big = _dyadic(lambda b: float(eval_phi(f, b, delta)) >= 1.0,
+                    1.0, 2.0, "phi(N, delta) never reached 1; slope side too flat")
 
     u1 = np.minimum(u, n_big * a)
     v1 = np.maximum(v, delta * a)
 
     if branch == "two-sided":
-        modulus0 = c.x0.modulus_constant
-        eps = min(1.0, n_big / 4.0)
-        for _ in range(400):
-            if lat.norm(c.x0, np.maximum(u1, eps * a)) < modulus0:
-                break
-            eps *= 0.5
-        else:
-            raise SolverError("no dyadic epsilon keeps u against the modulus bound")
-        m_big = 1.0
-        for _ in range(400):
-            if float(eval_phi(f, eps, m_big)) >= 1.0:
-                break
-            m_big *= 2.0
-        else:
-            raise SolverError("phi(eps, M) never reached 1; value side too flat")
+        eps = _dyadic(lambda e: lat.norm(c.x0, np.maximum(u1, e * a)) < c.x0.modulus_constant,
+                      min(1.0, n_big / 4.0), 0.5,
+                      "no dyadic epsilon keeps u against the modulus bound")
+        m_big = _dyadic(lambda b: float(eval_phi(f, eps, b)) >= 1.0,
+                        1.0, 2.0, "phi(eps, M) never reached 1; value side too flat")
         u2 = np.maximum(u1, eps * a)
         v2 = np.minimum(v1, m_big * a)
         extras = {"epsilon": eps, "M": m_big}

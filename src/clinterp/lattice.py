@@ -38,7 +38,6 @@ class LatticeSpec:
     dim: int
     p: float
     weights: tuple | None = None
-    pathology_space: pathology.PathologySpace | None = None
     w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -85,8 +84,8 @@ def linf(dim: int) -> LatticeSpec:
 
 
 def submeasure_lp(p: float, n: int) -> LatticeSpec:
-    sp = pathology.PathologySpace(n, float(p))
-    return LatticeSpec("sub", n, float(p), weights=(1.0 / n,) * n, pathology_space=sp)
+    pathology.PathologySpace(n, float(p))  # rejects p outside (0, 1) and n < 1
+    return LatticeSpec("sub", n, float(p), weights=(1.0 / n,) * n)
 
 
 def _check_dim(dim: int) -> int:

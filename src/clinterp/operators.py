@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,12 +32,12 @@ TUPLE_BOUND_GAMMA = 3.0 + 2.0 * math.sqrt(2.0)
 
 @dataclass(eq=False)
 class OperatorSpec:
-    """A real matrix acting between declared spaces, with an estimate cache."""
+    """A real matrix acting between declared spaces. It holds no estimates:
+    op_norm and rho_pq compute theirs on every call."""
 
     matrix: np.ndarray
     domain: object = None
     codomain: object = None
-    cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -118,16 +118,12 @@ def _op_norm_oracle(t: OperatorSpec, x: lat.LatticeSpec, y: lat.LatticeSpec) -> 
         e0[0] = 1.0
         return NormEstimate(0.0, 0.0, {"x": e0.tolist()}, "zero")
     atom_vals = np.array([lat.norm(y, m[:, j]) / lat.norm(x, np.eye(n)[j]) for j in range(n)])
-    if n == 1:
-        # one-dimensional domain: every vector is a multiple of the atom
-        j = 0
-        wit = np.eye(n)[j] / lat.norm(x, np.eye(n)[j])
-        return NormEstimate(atom_vals[j], atom_vals[j], {"x": wit.tolist()}, "vertex:atoms")
-    if x.p <= 1.0 and _is_convex(y):
-        # for p <= 1 the coefficient mass sum |x_j| ||e_j|| is at most ||x||
-        # (every family is a weighted lp norm), so the ball sits inside the
-        # convex hull of the normalized atoms and a convex codomain norm
-        # peaks at one of them
+    if n == 1 or x.p <= min(1.0, y.p):
+        # with r = min(1, y.p), ||.||_y^r is subadditive, and x.p <= r gives
+        # (sum_j (|x_j| ||e_j||_x)^r)^(1/r) <= ||x||_x for every weighted lp
+        # family; so ||T x||_y^r <= sum_j (|x_j| ||e_j||_x)^r atom_j^r, and
+        # the largest normalized atom attains the norm (n = 1 is the case
+        # where every vector is a multiple of the atom)
         j = int(np.argmax(atom_vals))
         wit = np.eye(n)[j] / lat.norm(x, np.eye(n)[j])
         return NormEstimate(atom_vals[j], atom_vals[j], {"x": wit.tolist()}, "vertex:atoms")
@@ -206,8 +202,8 @@ def op_norm(
     """Operator quasi-norm of t as a map from x to y.
 
     Closed forms cover domains whose quasi-norm ball has usable vertex
-    structure (atomic for p <= 1 into a convex codomain, sign vertices for
-    the sup norm, positive matrices out of the sup norm), euclidean legs
+    structure (atomic for x.p <= min(1, y.p), sign vertices for the sup
+    norm, positive matrices out of the sup norm), euclidean legs
     (the largest singular value) and diagonal matrices between nested
     unweighted spaces. Everything else gets a search lower bound with an
     infinite upper side: _optim.batched_search maximizes ||t v||_y/||v||_x
@@ -217,11 +213,6 @@ def op_norm(
     of each stage; iterations counts the rows scored.
     """
     _shape_check(t, x, y)
-    # the search route's answer depends on its seed and effort; the oracle
-    # routes ignore them
-    key = ("op", x.describe(), y.describe(), seed, starts, iters)
-    if method == "auto" and key in t.cache:
-        return t.cache[key]
     est = None
     if method in ("auto", "oracle"):
         est = _op_norm_oracle(t, x, y)
@@ -233,8 +224,6 @@ def op_norm(
         if method not in ("auto", "search"):
             raise DomainError(f"unknown method {method!r}")
         est = _op_norm_search(t, x, y, seed=seed, starts=starts, iters=iters)
-    if method == "auto":
-        t.cache[key] = est
     return est
 
 
@@ -307,59 +296,54 @@ def rho_pq(
     The aggregate on the image side raises to the p-th power (sup for
     p = inf), the source side to the q-th power; the three supported
     patterns are finite/finite, finite/sup and sup/finite. The lower bound
-    is the best quotient over the operator-norm witness and `tuples` seeded
-    random tuples, polished by _optim.batched_search: the best tuple, scaled
-    to max-abs 1 and flattened, is its one seed in the box [-1, 1]^(k n),
-    with `tuples` rows per round and at most iters rounds of each stage
-    (iters = 0 skips the polish); iterations counts the tuples scored, and
-    tuples or size below 1 raise DomainError. The upper side is certified
-    only where a closed argument exists (diagonal matrices, and positive
-    matrices in the sup/sum pattern).
+    is the best quotient over the operator-norm witnesses and `tuples`
+    seeded random tuples, polished by _optim.batched_search: the best tuple,
+    scaled to max-abs 1 and flattened, is its one seed in the box
+    [-1, 1]^(k n), with `tuples` rows per round and at most iters rounds of
+    each stage (iters = 0 skips the polish); iterations counts the tuples
+    scored, and tuples or size below 1 raise DomainError.
+
+    The upper side is certified in the sup/sum pattern only. A diagonal
+    matrix on one space is exact (method oracle:diagonal). Every other
+    matrix takes the Riesz-Kantorovich modulus |T| (entrywise absolute
+    values): |T x_i| <= |T| |x_i| coordinatewise, so sup_i |T x_i| <=
+    |T| sum_i |x_i| and rho <= || |T| ||_{x->y} in every monotone
+    quasi-norm. Where |T| has a closed-form operator norm, that is the upper
+    side (method bracket:modulus) and its witness is a candidate singleton,
+    exact when |T| = T or T is diagonal. Elsewhere the upper side is
+    infinite (method search).
     """
     _shape_check(t, x, y)
     p, q = _check_rho_exponents(p, q)
     _check_count("tuples", tuples)
     _check_count("size", size)
-    key = ("rho", p, q, x.describe(), y.describe(), seed, tuples, size, iters)
-    if key in t.cache:
-        return t.cache[key]
 
-    cert_upper = math.inf
-    cert_lower = 0.0
+    upper = math.inf
     method = "search"
-    base_witness = None
+    cands = []
     if math.isinf(p) and q == 1.0:
         if t.is_diagonal and x.describe() == y.describe():
             # same space: sup_i |D x_i| = |d| sup_i |x_i| <= max|d| sum_i |x_i|,
             # and the largest diagonal axis attains it with a singleton
             d = np.abs(np.diag(t.matrix))
             j = int(np.argmax(d))
-            est = NormEstimate(
+            return NormEstimate(
                 d[j],
                 d[j],
                 {"xs": [np.eye(x.dim)[j].tolist()], "ratio": float(d[j])},
                 "oracle:diagonal",
             )
-            t.cache[key] = est
-            return est
-        if t.is_diagonal or t.is_positive:
-            # sup_i |T x_i| <= T(sum_i |x_i|) coordinatewise for positive T;
-            # diagonal matrices reduce to their absolute value
-            base_m = np.abs(t.matrix) if t.is_diagonal else t.matrix
-            base = op_norm(OperatorSpec(base_m), x, y, seed=seed)
-            cert_upper = base.upper
-            cert_lower = base.lower  # singleton tuples recover the operator norm
-            method = "oracle:diagonal" if t.is_diagonal else "bracket:positive"
-            if base.witness is not None:
-                base_witness = np.asarray(base.witness["x"], dtype=float)
+        # |T x_i| <= |T| |x_i| coordinatewise, so sup_i |T x_i| <= |T| sum_i |x_i|
+        modulus = _op_norm_oracle(OperatorSpec(np.abs(t.matrix)), x, y)
+        if modulus is not None:
+            upper = modulus.upper
+            method = "bracket:modulus"
+            cands.append(np.atleast_2d(np.asarray(modulus.witness["x"], dtype=float)))
 
     rngs = spawn_rngs(seed, tuples)
     best = 0.0
     best_xs = None
     evals = 0
-    cands = []
-    if base_witness is not None:
-        cands.append(np.atleast_2d(base_witness))
     single = op_norm(t, x, y, seed=seed)
     if single.witness is not None and "x" in single.witness:
         cands.append(np.atleast_2d(np.asarray(single.witness["x"], dtype=float)))
@@ -382,20 +366,16 @@ def rho_pq(
         if -value > best:
             best, best_xs = -value, point.reshape(shape)
 
-    lower = max(best, cert_lower)
-    upper = cert_upper
     flags = ("search-lower",)
     if not math.isfinite(upper):
         flags = flags + ("no-upper-certificate",)
-    if lower > upper:
-        lower = upper  # search noise must not cross a certified ceiling
+    # search noise must not cross a certified ceiling
+    lower = min(best, upper)
     witness = {
         "xs": best_xs.tolist() if best_xs is not None else None,
         "ratio": best,
     }
-    est = NormEstimate(lower, upper, witness, method, iterations=evals, flags=flags)
-    t.cache[key] = est
-    return est
+    return NormEstimate(lower, upper, witness, method, iterations=evals, flags=flags)
 
 
 def _signed_max(

@@ -440,27 +440,18 @@ def eval_phi(f: InterpolationFunction, s, t):
         raise DomainError("eval_phi needs finite arguments")
     if np.any(sa < 0) or np.any(ta < 0):
         raise DomainError("eval_phi needs nonnegative arguments")
-    out = eval_phi_unchecked(f, sa, ta)
-    return float(out[0]) if scalar else out
-
-
-def eval_phi_unchecked(f: InterpolationFunction, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """eval_phi without argument checks, for internal hot loops.
-
-    s and t must be 1-d float arrays of one shape whose entries are already
-    known to be finite and nonnegative; the result equals eval_phi's.
-    """
-    both = (s > 0) & (t > 0)
+    both = (sa > 0) & (ta > 0)
     if both.all():
-        return s * _phi1_raw(f, t / s)
-    out = np.zeros(s.shape)
-    if np.any(both):
-        out[both] = s[both] * _phi1_raw(f, t[both] / s[both])
-    edge_s = (s > 0) & (t == 0)
-    out[edge_s] = s[edge_s] * f.phi1_at_zero
-    edge_t = (s == 0) & (t > 0)
-    out[edge_t] = t[edge_t] * f.slope_at_infinity
-    return out
+        out = sa * _phi1_raw(f, ta / sa)
+    else:
+        out = np.zeros(sa.shape)
+        if np.any(both):
+            out[both] = sa[both] * _phi1_raw(f, ta[both] / sa[both])
+        edge_s = (sa > 0) & (ta == 0)
+        out[edge_s] = sa[edge_s] * f.phi1_at_zero
+        edge_t = (sa == 0) & (ta > 0)
+        out[edge_t] = ta[edge_t] * f.slope_at_infinity
+    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------

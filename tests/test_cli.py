@@ -70,6 +70,14 @@ class TestNorm:
         names = [c["name"] for c in rep["checks"]]
         assert "witness-replay" in names
 
+    @pytest.mark.parametrize("kind", ["lattice", "sum", "inter", "cl"])
+    @pytest.mark.parametrize("x", ["nan,1", "inf,1"])
+    def test_non_finite_vector_is_usage_error(self, capsys, kind, x):
+        where = ["--space", "lp:1:2"] if kind == "lattice" else ["--couple", "lp:1:2|lp:2:2"]
+        code, rep = run_cli(capsys, ["norm", kind, *where, "--phi", "power:0.5", "--x", x])
+        assert code == 1
+        assert rep is None
+
     def test_missing_space_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, ["norm", "lattice", "--x", "1,2"])
         assert code == 1

@@ -43,6 +43,24 @@ class TestCoupleBasics:
         assert cp.intersection_norm(L1_LINF_2, [1.0, 2.0]) == pytest.approx(3.0)
 
 
+class TestNonFiniteInput:
+    # a nan or inf entry used to come back as an inf value or a bogus witness
+    @pytest.mark.parametrize("bad", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf]])
+    @pytest.mark.parametrize("call", [
+        lambda c, x: cp.cl_norm(c, POWER_HALF, x),
+        lambda c, x: cp.cl_norm(c, qc.harmonic(), x),
+        lambda c, x: cp.sum_norm(c, x),
+        lambda c, x: cp.intersection_norm(c, x),
+        lambda c, x: cp.factorize(c, POWER_HALF, x),
+        lambda c, x: cp.phi_space_equivalence(c, POWER_HALF, [x]),
+    ], ids=["cl_norm", "cl_norm_harmonic", "sum_norm", "intersection_norm", "factorize",
+            "phi_space_equivalence"])
+    def test_raises_domain_error(self, call, bad):
+        c = cp.Couple(lat.lp(1.0, 2), lat.lp(2.0, 2))
+        with pytest.raises(DomainError, match="finite"):
+            call(c, bad)
+
+
 def _drawn_leg(data, d, kinds=("lp", "wlp", "sub"), p_range=(0.5, 3.0)):
     kind = data.draw(st.sampled_from(kinds))
     if kind == "sub":

@@ -199,7 +199,7 @@ class TestParse:
         assert parse_lattice("wlp:1:4:1,2,3,4").weights == (1.0, 2.0, 3.0, 4.0)
         assert parse_lattice("linf:4").family == "linf"
         s = parse_lattice("sub:0.5:3")
-        assert s.family == "sub" and s.pathology_space.n == 3
+        assert s.family == "sub" and s.dim == 3 and s.weights == (1.0 / 3,) * 3
 
     def test_errors(self):
         for bad in ("lp:0:4", "lp:1", "wlp:1:2:1", "wlp:1:2:1,-1", "lq:1:2", "sub:1:3"):
