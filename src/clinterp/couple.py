@@ -597,7 +597,7 @@ def _reduce_box_tops(spec: lat.LatticeSpec, los: np.ndarray, his: np.ndarray,
     """Clip each box axis to the largest value feasible alongside the box's
     lower corner on the remaining axes; any feasible point in the box obeys
     the clip, so bounds taken at the reduced corner stay valid.  spec has a
-    finite exponent: an l-infinity first leg never reaches the box search."""
+    finite exponent: an l-infinity leg never reaches the box search."""
     w = spec.w[support]
     terms = w[None, :] * los ** spec.p
     slack = 1.0 - (np.sum(terms, axis=1, keepdims=True) - terms)
@@ -623,9 +623,10 @@ def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray,
     already exceed tau, so the search domain is [floor, cap];
     boxes whose lower corner escapes the unit ball hold no witness at all.
     The returned value min(active bounds, settled bounds, tau) is therefore
-    a true lower bound for every feasible witness.  The first leg has a
-    finite exponent: cl_norm bounds an l-infinity first leg at u = 1 from
-    its own bracket.  On two legs of finite exponent, a box the corner
+    a true lower bound for every feasible witness.  Both legs have finite
+    exponents: cl_norm bounds an l-infinity first leg at u = 1 from its own
+    bracket and solves an l-infinity second leg on the mirror side, so an
+    l-infinity leg never reaches the box search.  A box the corner
     bound leaves below tau also gets a Lagrangian bound (_lagrangian_terms):
     graded by level where phi's inverse is a power piece (_graded_lower),
     else probed once at tau, where a positive _lagrangian_margin prunes the
@@ -651,8 +652,6 @@ def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray,
     def bracket(us_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _batched_inner_bracket(c, f, a_sup, support, us_rows, lam_cap)
 
-    # the Lagrangian sums powers of both legs' entries
-    finite = math.isfinite(c.x0.p) and math.isfinite(c.x1.p)
     graded = power_piece(f) is not None
     w0 = c.x0.w[support]
     w1 = c.x1.w[support]
@@ -661,7 +660,7 @@ def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray,
                    terms: np.ndarray, stale: np.ndarray) -> np.ndarray:
         # the Lagrangian only matters for boxes the corner bound leaves open
         weak = corner_vals < tau
-        if not finite or not np.any(weak):
+        if not np.any(weak):
             return corner_vals
         out = corner_vals.copy()
         if graded:
@@ -679,7 +678,7 @@ def _grid_lower(c: Couple, f: InterpolationFunction, a: np.ndarray,
     los = floor[None, :].copy()
     his = _reduce_box_tops(c.x0, los, caps[0][None, :].copy(), support)
     # each box's per-axis cell terms, filled where they are probed
-    terms = np.zeros(los.shape + (0 if graded or not finite else len(_MU_SCALES),))
+    terms = np.zeros(los.shape + (0 if graded else len(_MU_SCALES),))
     bounds = box_bounds(los, his, bracket(his)[0], terms, np.ones(los.shape, dtype=bool))
     evaluated = 1
     settled = math.inf
@@ -784,26 +783,31 @@ def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
     around the incumbent, a half-width of 3 halving down to tol and at most
     iters rounds of each stage; every row is normalized into the unit ball
     and bracketed at the least value scored so far. An l-infinity first leg
-    takes u = 1, the largest element of its ball. The final lam is bracketed
-    in a cell of the grid cap (1 + 1e-9) j 2^-steps, steps = max(24,
-    ceil(-log2 tol)) halvings up to 52, so to relative width about tol but
-    never below 2^-52; the witness sits at the cell's feasible high end and
-    is re-verified arithmetically. seed
-    fixes the draws, so equal seeds give equal estimates; iterations counts
-    the rows scored. With certify_lower, an l-infinity first leg takes the
-    lower bound from the low end of that final bracket at u = 1, which
+    takes u = 1, the largest element of its ball, and no search rounds. An
+    l-infinity second leg beside a finite first leg is solved on the mirror
+    side, ||x||_{phi; X0, X1} = ||x||_{mirror phi; X1, X0}, where it is the
+    first leg and takes u = 1 the same way; the witness is swapped back,
+    (u, v) := (v', u'), and the estimate carries the flag "mirror-side"
+    after its other flags. The final lam is bracketed in a cell of the grid
+    cap (1 + 1e-9) j 2^-steps, steps = max(24, ceil(-log2 tol)) halvings up
+    to 52, so to relative width about tol but never below 2^-52; the witness
+    sits at the cell's feasible high end and is re-verified arithmetically
+    on the caller's couple and phi. seed fixes the draws, so equal seeds
+    give equal estimates; iterations counts the rows scored.
+
+    With certify_lower, a couple with an l-infinity leg on either side takes
+    the lower bound from the low end of that final bracket at u = 1, which
     attains the outer infimum, whatever the support size (flag
     "grid-certified", grid info one box). Other couples with at most four
     nonzero coordinates take it from the branch-and-bound certificate (flag
     "grid-certified"); otherwise the lower bound is 0 ("heuristic-lower").
-    On legs of finite exponent each box also gets a Lagrangian bound (see
-    _grid_lower). Where the inverse of phi in its second argument is one
-    power piece (power, cappedpower and mirror(cappedpower), 0 < theta < 1)
-    it is exact per coordinate and the certificate usually closes in one
-    box. Every other family (harmonic, sum, affinepower, hull, ...) gets a
-    weaker bound from the monotonicity of the inverse alone, which prunes
-    whole boxes: harmonic on lp:1:4|lp:0.5:4 closes in about 3k boxes
-    instead of 150k. An l-infinity second leg keeps the box corners alone.
+    Each box also gets a Lagrangian bound (see _grid_lower). Where the
+    inverse of phi in its second argument is one power piece (power,
+    cappedpower and mirror(cappedpower), 0 < theta < 1) it is exact per
+    coordinate and the certificate usually closes in one box. Every other
+    family (harmonic, sum, affinepower, hull, ...) gets a weaker bound from
+    the monotonicity of the inverse alone, which prunes whole boxes:
+    harmonic on lp:1:4|lp:0.5:4 closes in about 3k boxes instead of 150k.
     Flag "budget-exhausted" means the box budget ran out, which leaves the
     bound sound but looser. A box corner that beats the witness replaces it
     after the same arithmetic re-check (_witness_fault).
@@ -832,6 +836,12 @@ def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
 
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
+    # ||x||_{phi; X0, X1} = ||x||_{mirror phi; X1, X0}: an l-infinity second
+    # leg is an l-infinity first leg on the mirror side, solved there at u = 1
+    caller = c, f
+    mirrored = math.isinf(c.x1.p) and math.isfinite(c.x0.p)
+    if mirrored:
+        c, f = Couple(c.x1, c.x0), mirror(f)
     support = np.flatnonzero(a)
     s = len(support)
     a_sup = a[support]
@@ -871,8 +881,10 @@ def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
     v = np.zeros(c.dim)
     u[support] = u_best
     v[support] = _invert_second_arg(f, u_best, a_sup / upper)
+    if mirrored:
+        u, v = v, u
 
-    fault = _witness_fault(c, f, a, u, v, upper)
+    fault = _witness_fault(*caller, a, u, v, upper)
     if fault is not None:
         raise SolverError(fault, (upper, None))
 
@@ -901,6 +913,8 @@ def cl_norm(c: Couple, f: InterpolationFunction, x, *, method: str = "auto",
     else:
         lower, grid_info = 0.0, None
         flags = ("heuristic-lower",)
+    if mirrored:
+        flags += ("mirror-side",)
     est = NormEstimate(lower, upper,
                        {"u": u.tolist(), "v": v.tolist(), "lam": upper,
                         **({"grid": grid_info} if grid_info else {})},

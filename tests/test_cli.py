@@ -70,6 +70,19 @@ class TestNorm:
         names = [c["name"] for c in rep["checks"]]
         assert "witness-replay" in names
 
+    def test_cl_linf_second_leg_certified_on_the_mirror_side(self, capsys):
+        code, rep = run_cli(
+            capsys,
+            ["norm", "cl", "--couple", "lp:1:6|linf:6", "--phi", "harmonic",
+             "--x", "0.3,1.2,0.7,1.9,0.5,1.1"],
+        )
+        assert code == 0
+        lo, hi = rep["config"]["value"]
+        assert 0.0 < lo <= hi <= lo * (1.0 + 1e-8)
+        est = rep["checks"][0]["values"]
+        assert est["flags"] == ["grid-certified", "mirror-side"]
+        assert rep["totals"]["failed"] == 0
+
     @pytest.mark.parametrize("kind", ["lattice", "sum", "inter", "cl"])
     @pytest.mark.parametrize("x", ["nan,1", "inf,1"])
     def test_non_finite_vector_is_usage_error(self, capsys, kind, x):

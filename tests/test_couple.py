@@ -535,6 +535,56 @@ class TestClNormOptimizer:
         assert 0.0 < est.lower <= oracle <= est.upper
         assert est.upper - est.lower <= 1e-8 * est.upper
 
+    @pytest.mark.parametrize("couple, f", [
+        ("lp:2:6|linf:6", POWER_HALF),
+        ("lp:1:6|linf:6", qc.harmonic()),
+        ("lp:1:6|linf:6", qc.affine_power(1.0, 1.0, 0.75)),
+        ("lp:1:24|linf:24", qc.harmonic()),
+        ("lp:1:24|linf:24", qc.affine_power(1.0, 1.0, 0.75)),
+    ], ids=["power-l2-6", "harmonic-l1-6", "affinepower-l1-6", "harmonic-l1-24",
+            "affinepower-l1-24"])
+    def test_linf_second_leg_certified_beyond_four_coordinates(self, couple, f):
+        # the mirror side has the l-infinity leg first, where u = 1 attains
+        # the outer infimum; the estimate is that side's, witness swapped
+        c = cp.parse_couple(couple)
+        x = np.random.default_rng(3).uniform(0.1, 2.0, c.dim)
+        est = cp.cl_norm(c, f, x, method="optimize")
+        assert est.flags == ("grid-certified", "mirror-side")
+        assert est.witness["grid"] == {"boxes": 1, "converged": True}
+        assert 0.0 < est.lower <= est.upper
+        assert est.upper - est.lower <= 1e-8 * est.upper
+        if f.family == "power":
+            assert est.lower <= cp.cl_norm(c, f, x, method="oracle").upper <= est.upper
+        u, v = np.asarray(est.witness["u"]), np.asarray(est.witness["v"])
+        assert cp._witness_fault(c, f, x, u, v, est.upper) is None
+        mirrored = cp.cl_norm(cp.Couple(c.x1, c.x0), qc.mirror(f), x, method="optimize")
+        assert mirrored.flags == ("grid-certified",)
+        assert (est.lower, est.upper, est.iterations) == (
+            mirrored.lower, mirrored.upper, mirrored.iterations)
+        assert est.witness["u"] == mirrored.witness["v"]
+        assert est.witness["v"] == mirrored.witness["u"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_linf_second_leg_brackets_the_closed_form(self, data):
+        # power(theta) on (X, l-infinity) is solved on the mirror side; its
+        # bracket holds the closed form and its witness passes the re-check
+        # on the caller's couple
+        d = data.draw(st.integers(1, 8))
+        c = cp.Couple(_drawn_leg(data, d), lat.linf(d))
+        f = qc.power(data.draw(st.floats(0.05, 0.95)))
+        x = _drawn_x(data, d)
+        assume(np.any(x > 0.0))
+        exact = float(cp._oracle_rows(c, f, x[None, :])[1][0])
+        est = cp.cl_norm(c, f, x, method="optimize")
+        assert est.flags == ("grid-certified", "mirror-side")
+        # the feasibility test's 1e-12 margin lets the upper end sit that
+        # far below the value; the closed form rounds in its last bits
+        assert est.lower <= exact * (1.0 + 1e-14)
+        assert exact <= est.upper * (1.0 + 1e-12)
+        u, v = np.asarray(est.witness["u"]), np.asarray(est.witness["v"])
+        assert cp._witness_fault(c, f, x, u, v, est.upper) is None
+
     def test_tiny_tol_stops_at_the_float_grid(self):
         # tol = 1e-20 asks for 67 halvings of the final bracket; the level
         # grid stops at 52, where its float indices are still exact
@@ -933,12 +983,9 @@ class TestMonotonePrune:
     @pytest.mark.parametrize("couple, phi, policy", [
         # a phi without a power piece probes its cell terms once, at tau
         ("lp:1:3|lp:2:3", qc.harmonic(), "probed"),
-        # the Lagrangian sums powers of both legs' entries, so an l-infinity
-        # leg keeps its box corners alone
-        ("lp:1:3|linf:3", qc.harmonic(), None),
         # a power piece grades its closed-form terms by level
         ("lp:1:3|lp:2:3", qc.capped_power(0.5), "graded"),
-    ], ids=["harmonic", "linf-leg", "power-piece"])
+    ], ids=["harmonic", "power-piece"])
     def test_where_the_prune_runs(self, couple, phi, policy):
         levels = []
         graded = []
@@ -958,11 +1005,21 @@ class TestMonotonePrune:
             est = cp.cl_norm(cp.parse_couple(couple), phi, x, method="optimize")
         assert "grid-certified" in est.flags
         assert bool(graded) is (policy == "graded")
-        assert bool(levels) is (policy is not None)
+        assert levels
         # the probed policy takes every term at the one level tau
         probed = [lam for lam in levels if np.ndim(lam) == 0]
         assert len(probed) == (len(levels) if policy == "probed" else 0)
         assert len(set(probed)) <= 1
+
+    @pytest.mark.parametrize("couple", ["lp:1:3|linf:3", "linf:3|lp:1:3"])
+    def test_an_linf_leg_never_reaches_the_box_search(self, couple):
+        # an l-infinity leg on either side is certified at u = 1, on the
+        # mirror side where it is the second leg
+        x = np.random.default_rng(0).uniform(0.1, 2.0, 3)
+        with mock.patch.object(cp, "_grid_lower", wraps=cp._grid_lower) as grid_lower:
+            est = cp.cl_norm(cp.parse_couple(couple), qc.harmonic(), x, method="optimize")
+        assert est.flags[0] == "grid-certified"
+        grid_lower.assert_not_called()
 
     def test_graded_bound_on_a_power_piece(self):
         # with tau above the true value no box is pruned, and the lower bound
